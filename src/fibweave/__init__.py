@@ -1,7 +1,7 @@
 """Braid-sequence compiler and verification simulator for the Fibonacci
 anyon model."""
 
-from .numerics import BigComplex, Mat2, PhaseDiag, proj_distance
+from .numerics import BigComplex, Mat2, PhaseDiag
 from .model import FibConstants, make_constants, fuse
 from .converge import (
     amplify,
@@ -30,7 +30,6 @@ from .weave import (
     program_from_text,
     program_to_text,
     weave_semantics,
-    weave_to_generators,
 )
 from .chain import Chain, paths_for
 from .distill import (

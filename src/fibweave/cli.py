@@ -11,12 +11,11 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
-import numpy as np
-
-from . import chain, converge, distill, model, weave, words
-from .numerics import DEFAULT_PRECISION_BITS, Mat2, BigComplex, exp_i_pi
+from . import chain, checks, distill, weave, words
+from .numerics import DEFAULT_PRECISION_BITS
 
 
 def _precision_from_env():
@@ -54,13 +53,10 @@ def _cmd_compile(args):
     start = weave._parse_state(args.start) if args.start else default_start
     program = weave.compile_weave(word, start)
     metrics = words.word_metrics(word)
+    gens = weave.gadget_exchanges(program, 2) if args.generators else []
     if args.format == "braidtext":
         out = weave.program_to_text(program)
-        if args.generators:
-            gens = weave.weave_to_generators(program, 2)
-            out += "".join(
-                f"# generator {pos} {'ccw' if ccw else 'cw'}\n" for pos, ccw in gens
-            )
+        out += "".join(f"# generator {pos} {'ccw' if ccw else 'cw'}\n" for pos, ccw in gens)
     else:
         payload = {
             "word": args.word,
@@ -74,10 +70,7 @@ def _cmd_compile(args):
             "accepted_isotopy": weave.ACCEPTED_LOOP_ISOTOPY,
         }
         if args.generators:
-            payload["generators"] = [
-                [pos, "ccw" if ccw else "cw"]
-                for pos, ccw in weave.weave_to_generators(program, 2)
-            ]
+            payload["generators"] = [[pos, "ccw" if ccw else "cw"] for pos, ccw in gens]
         out = json.dumps(payload, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -91,203 +84,35 @@ def _cmd_compile(args):
 # verify
 # ---------------------------------------------------------------------------
 
-def _rand_unitary_np(rng):
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-
-
-def _rand_unitary_big(rng, bits):
-    th, ph, ps, al = rng.uniform(-1, 1, size=4)
-    cos_t = (exp_i_pi(th, bits) + exp_i_pi(-th, bits)) * 0.5
-    sin_t = (exp_i_pi(th, bits) - exp_i_pi(-th, bits)) * complex(0, -0.5)
-    e_ph, e_ps, e_al = (exp_i_pi(x, bits) for x in (ph, ps, al))
-    return Mat2(
-        e_al * e_ph * cos_t,
-        e_al * e_ps * sin_t,
-        -e_al * e_ps.conjugate() * sin_t,
-        e_al * e_ph.conjugate() * cos_t,
-    )
-
-
-def _suite_constants(bits):
-    res = model.make_constants(bits).self_check()
-    worst = max(res.values())
-    return {"passed": bool(worst < max(1e-50, 2.0 ** -(bits - 40))), "residuals": res}
-
-
-def _suite_lemma1(bits):
-    rng = np.random.default_rng(11)
-    worst_np = 0.0
-    for _ in range(25):
-        u = _rand_unitary_np(rng)
-        w = converge.iconverge(u)
-        worst_np = max(worst_np, abs(abs(w[1, 0]) - abs(u[1, 0]) ** 5))
-        w = converge.xconverge(u)
-        worst_np = max(worst_np, abs(abs(w[0, 0]) - abs(u[0, 0]) ** 5))
-    worst_big = 0.0
-    for _ in range(5):
-        u = _rand_unitary_big(rng, bits)
-        w = converge.iconverge(u)
-        gap = abs(w.a10) - abs(u.a10) * abs(u.a10) * abs(u.a10) * abs(u.a10) * abs(u.a10)
-        worst_big = max(worst_big, abs(float(abs(gap))))
-    thresh_big = max(2.0 ** -(bits - 56), 1e-300)
-    return {
-        "passed": bool(worst_np < 1e-12 and worst_big < thresh_big),
-        "double_residual": worst_np,
-        "big_residual": worst_big,
-    }
-
-
-def _suite_error_laws(bits):
-    consts = model.make_constants(bits)
-    tau = consts.tau
-    worst = 0.0
-    for j in (0, 1, 2):
-        for seed, power in ((words.SEED_S, 5**j), (words.SEED_WEAVE, 2 * 5**j)):
-            m = words.evaluate(words.m_word(j, seed), consts)
-            target = 1 / _big_pow(tau, power)
-            rel = abs(abs(m.a00) - target) / target
-            worst = max(worst, float(abs(rel)))
-        n = words.evaluate(words.n_word(j), consts)
-        target = 1 / _big_pow(tau, 5**j)  # tau^-(5^j/2) squared to stay rational in tau
-        rel = abs(abs(n.a10) * abs(n.a10) - target) / target
-        worst = max(worst, float(abs(rel)))
-    return {"passed": bool(worst < 1e-20), "worst_relative_error": worst}
-
-
-def _big_pow(x, k):
-    out = BigComplex.one(x.precision_bits)
-    for _ in range(k):
-        out = out * x
-    return out
-
-
-def _suite_counts(_bits):
-    counts = [
-        words.word_metrics(words.m_word(j, words.SEED_S))["elementary_braid_count"]
-        for j in range(4)
-    ]
-    gen_counts = [words.generator_braid_count(words.generator_word(j)) for j in range(4)]
-    perm_ok = all(
-        words.word_permutation(j) == ((0, 2, 1) if j % 2 == 0 else (2, 1, 0))
-        for j in range(9)
-    )
-    passed = counts == [1, 13, 73, 373] and gen_counts == [1, 13, 73, 373] and perm_ok
-    return {"passed": bool(passed), "word_counts": counts, "generator_counts": gen_counts}
-
-
-def _suite_closure(_bits):
-    ok = True
-    details = {}
-    for j in (0, 1, 2):
-        prog = weave.compile_weave(words.m_word(j, words.SEED_WEAVE), ("Nested", "D"))
-        ok &= len(prog.closing) <= 1 and prog.end_state == ("Nested", "D")
-        details[f"m{j}_closing"] = len(prog.closing)
-    for j in (0, 2):
-        prog = weave.compile_weave(words.n_word(j), ("Pair", "D"))
-        ok &= prog.end_state == ("Nested", "D") and not prog.closing
-        details[f"n{j}_end"] = list(prog.end_state)
-    worst = 0.0
-    for word, start in [
-        (words.m_word(1, words.SEED_WEAVE), ("Nested", "D")),
-        (words.n_word(2), ("Pair", "D")),
-    ]:
-        m, pe, _ = weave.weave_semantics(word, start)
-        gap = np.abs(np.exp(-1j * np.pi / 5 * pe) * m - words.evaluate(word)).max()
-        worst = max(worst, float(gap))
-    ok &= worst < 1e-12
-    details["semantics_gap"] = worst
-    return {"passed": bool(ok), **details}
-
-
-def _suite_chain(_bits):
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(6):
-        n = int(rng.integers(4, 8))
-        charges = [int(rng.integers(0, 2)) for _ in range(n)]
-        paths = chain.paths_for(charges)
-        v = rng.normal(size=len(paths)) + 1j * rng.normal(size=len(paths))
-        v /= np.linalg.norm(v)
-        st = chain.Chain({(tuple(charges), p): v[i] for i, p in enumerate(paths)})
-        i = int(rng.integers(1, n - 1))
-        a = st.braid_adjacent(i).braid_adjacent(i + 1).braid_adjacent(i)
-        b = st.braid_adjacent(i + 1).braid_adjacent(i).braid_adjacent(i + 1)
-        keys = set(a.amps) | set(b.amps)
-        worst = max(
-            worst, max(abs(a.amps.get(k, 0) - b.amps.get(k, 0)) for k in keys)
-        )
-        worst = max(worst, abs(st.braid_adjacent(i).braid_adjacent(i, False).overlap(st) - 1))
-    dims = [len([p for p in chain.paths_for([1] * n) if p[-1] == 0]) for n in range(2, 9)]
-    ok = worst < 1e-12 and dims == [1, 1, 2, 3, 5, 8, 13]
-    return {"passed": bool(ok), "algebra_residual": float(worst), "vacuum_dims": dims}
-
-
-def _suite_distill(_bits):
-    r_phys = distill.run_end_to_end([1], [1], 1)
-    r_comp = distill.run_end_to_end([1], [1], 1, route="composite")
-    gap = abs(r_phys["probability"] - r_comp["probability"])
-    floor = distill.one_mobile_floor(2, Fraction(1, 2))
-    marg_gap = abs(r_phys["marginal_left"] - (1 - model.TAU_F**-20))
-    ok = gap < 1e-11 and floor == Fraction(9, 16) and marg_gap < 1e-12
-    return {
-        "passed": bool(ok),
-        "route_gap": gap,
-        "marginal_gap": marg_gap,
-        "joint_probability": r_phys["probability"],
-    }
-
-
-def _suite_conjectures(_bits):
-    reports = [converge.order_estimate(k) for k in (1, 2, 3)]
-    return {
-        "passed": True,
-        "gating": False,
-        "slopes": [r["offdiagonal"]["slope"] for r in reports],
-        "target_orders": [r["target_order"] for r in reports],
-    }
-
-
-_HARD_SUITES = {
-    "constants": _suite_constants,
-    "lemma1": _suite_lemma1,
-    "error-laws": _suite_error_laws,
-    "counts": _suite_counts,
-    "closure": _suite_closure,
-    "chain": _suite_chain,
-    "distill": _suite_distill,
-}
-_SOFT_SUITES = {"conjectures": _suite_conjectures}
-_ALL_SUITES = {**_HARD_SUITES, **_SOFT_SUITES}
-
-
 def _cmd_verify(args):
     bits = _precision_from_env()
     if args.suite == "all":
-        names = list(_ALL_SUITES)
-    elif args.suite in _ALL_SUITES:
+        names = list(checks.CHECKS)
+    elif args.suite in checks.CHECKS:
         names = [args.suite]
     else:
         print(
             f"unknown suite {args.suite!r}: choose from "
-            + ", ".join(sorted(_ALL_SUITES) + ["all"]),
+            + ", ".join(sorted(checks.CHECKS) + ["all"]),
             file=sys.stderr,
         )
         return 2
     results = {}
     aggregate = True
     for name in names:
-        results[name] = _ALL_SUITES[name](bits)
-        if name in _HARD_SUITES:
-            aggregate &= results[name]["passed"]
+        t0 = time.perf_counter()
+        res = checks.CHECKS[name](bits)
+        res["seconds"] = time.perf_counter() - t0
+        results[name] = res
+        if res.get("gating", True):
+            aggregate &= res["passed"]
     payload = {"precision_bits": bits, "aggregate_passed": aggregate, "suites": results}
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, default=float))
     else:
         for name, res in results.items():
             tag = "PASS" if res["passed"] else "FAIL"
-            if name in _SOFT_SUITES:
+            if not res.get("gating", True):
                 tag = "INFO"
             print(f"{tag} {name}")
         print(f"{'PASS' if aggregate else 'FAIL'} aggregate")
@@ -304,9 +129,6 @@ def _cmd_simulate(args):
         return 2
     if not args.perfect_gadgets and args.j is None and args.eps is None:
         print("need a gadget order (--j), --eps, or --perfect-gadgets", file=sys.stderr)
-        return 2
-    if not 0 <= args.p <= 1:
-        print(f"--p must lie in [0, 1], got {args.p}", file=sys.stderr)
         return 2
     report = distill.simulate_report(
         args.scheme,
@@ -342,7 +164,15 @@ def _cmd_cost(args):
 
 
 def _cmd_chain_run(args):
-    text = sys.stdin.read() if args.program in (None, "-") else open(args.program).read()
+    if args.program in (None, "-"):
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(args.program) as fh:
+                text = fh.read()
+        except OSError as exc:
+            print(f"error: cannot read {args.program}: {exc.strerror}", file=sys.stderr)
+            return 2
     program = weave.program_from_text(text)
     print("assignment,prob0,prob1")
     for c1 in (0, 1):

@@ -12,37 +12,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import Mat2, PhaseDiag, DEFAULT_PRECISION_BITS
+from .numerics import Mat2, PhaseDiag
 
 UNITARITY_TOL = 1e-10
 
 
-def _is_big(u):
-    return isinstance(u, Mat2)
-
-
-def _check_unitary(u):
-    if _is_big(u):
+def _prepare(u):
+    """Check that u is a 2x2 unitary and return its adjoint together with
+    phase(frac) = diag(1, e^{i pi frac}) in the arithmetic of u."""
+    if isinstance(u, Mat2):
         if not u.is_unitary():
             raise ValueError("matrix is not unitary at its carried precision")
-        return
+        bits = u.precision_bits
+        return u.dagger(), lambda frac: PhaseDiag(Fraction(frac)).to_mat2(bits)
     u = np.asarray(u)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
     if np.abs(u.conj().T @ u - np.eye(2)).max() > UNITARITY_TOL:
         raise ValueError("matrix is not unitary")
-
-
-def _dag(u):
-    return u.dagger() if _is_big(u) else u.conj().T
-
-
-def _phase(frac, like):
-    """diag(1, e^{i pi frac}) in the arithmetic of `like`."""
-    pd = PhaseDiag(Fraction(frac))
-    if _is_big(like):
-        return pd.to_mat2(like.precision_bits)
-    return pd.to_numpy()
+    return u.conj().T, lambda frac: PhaseDiag(Fraction(frac)).to_numpy()
 
 
 def iconverge(u):
@@ -51,10 +39,9 @@ def iconverge(u):
     W = U d(w) U* d(-w^-2) U d(-w^-2) U* d(w) U  with w = e^{i pi/5},
     where d(z) = diag(1, z) and U* is the conjugate transpose.
     """
-    _check_unitary(u)
-    ud = _dag(u)
-    dw = _phase(Fraction(1, 5), u)
-    dm = _phase(Fraction(3, 5), u)  # -w^-2 = e^{i pi 3/5}
+    ud, phase = _prepare(u)
+    dw = phase(Fraction(1, 5))
+    dm = phase(Fraction(3, 5))  # -w^-2 = e^{i pi 3/5}
     return u @ dw @ ud @ dm @ u @ dm @ ud @ dw @ u
 
 
@@ -63,26 +50,24 @@ def xconverge(u):
 
     W = U d(w^-1) U* d(-w^-2) U d(-w^2) U* d(w) U  with w = e^{i pi/5}.
     """
-    _check_unitary(u)
-    ud = _dag(u)
+    ud, phase = _prepare(u)
     return (
         u
-        @ _phase(Fraction(-1, 5), u)
+        @ phase(Fraction(-1, 5))
         @ ud
-        @ _phase(Fraction(3, 5), u)
+        @ phase(Fraction(3, 5))
         @ u
-        @ _phase(Fraction(7, 5), u)  # -w^2
+        @ phase(Fraction(7, 5))  # -w^2
         @ ud
-        @ _phase(Fraction(1, 5), u)
+        @ phase(Fraction(1, 5))
         @ u
     )
 
 
 def amplify(u):
     """Three-factor product with |(0,0)| entry = |T_3(|u00|)| = |cos(3 arccos |u00|)|."""
-    _check_unitary(u)
-    ud = _dag(u)
-    z = -1 * _phase(Fraction(-1), u)  # diag(-1, 1)
+    ud, phase = _prepare(u)
+    z = -1 * phase(Fraction(-1))  # diag(-1, 1)
     return u @ z @ ud @ z @ u
 
 
@@ -91,9 +76,8 @@ def converge_pi3(u):
 
     W = U d(w^-1) U* d(w) U  with w = e^{i pi/3}.
     """
-    _check_unitary(u)
-    ud = _dag(u)
-    return u @ _phase(Fraction(-1, 3), u) @ ud @ _phase(Fraction(1, 3), u) @ u
+    ud, phase = _prepare(u)
+    return u @ phase(Fraction(-1, 3)) @ ud @ phase(Fraction(1, 3)) @ u
 
 
 def general_sequence(u, k):
@@ -111,20 +95,14 @@ def general_sequence(u, k):
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_unitary(u)
-    ud = _dag(u)
+    ud, phase = _prepare(u)
     den = 2 * k + 1
-    if _is_big(u):
-        p = Mat2.identity(u.precision_bits)
-        q = Mat2.identity(u.precision_bits)
-    else:
-        p = np.eye(2, dtype=complex)
-        q = np.eye(2, dtype=complex)
+    p = q = phase(0)
     for j in range(k):
         s = (-1) ** j
         # s * w^{s(j+1)} = e^{i pi (s(j+1)/den + (1-s)/2)}
         frac = Fraction(s * (j + 1), den) + (0 if s == 1 else 1)
-        ph = _phase(frac, u)
+        ph = phase(frac)
         uj = u if s == 1 else ud
         p = ph @ uj @ p
         q = q @ uj @ ph

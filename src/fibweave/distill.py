@@ -331,19 +331,41 @@ def run_end_to_end(assign_left, assign_right, j, jN=None, route="physical"):
 # Closed forms and exact aggregation
 # ---------------------------------------------------------------------------
 
-def one_mobile_floor(n, p):
-    """(1 - (1-p)^n)^2: both sides hold at least one nontrivial pair."""
-    p = Fraction(p)
-    return (1 - (1 - p) ** n) ** 2
+def _check_rates(**rates):
+    """Reject a probability or failure rate outside [0, 1] (None is unset)."""
+    for name, x in rates.items():
+        if x is not None and not 0 <= x <= 1:
+            raise ValueError(f"{name} must lie in [0, 1], got {x}")
+
+
+def _check_pairs(n):
+    if n < 1:
+        raise ValueError(f"need at least one pair per side, got n={n}")
+
+
+def _merge_levels(n):
+    """Depth of the pairwise-merge tree over n pairs, a power of two >= 2."""
+    if n < 2 or n & (n - 1) != 0:
+        raise PlanningError(f"hierarchical merging needs a power-of-two pair count, got {n}")
+    return n.bit_length() - 1
 
 
 def hierarchical_floor(n, p):
+    """1 - (1-p)^n: at least one of n pairs is nontrivial."""
+    _check_pairs(n)
+    _check_rates(p=p)
     p = Fraction(p)
     return 1 - (1 - p) ** n
 
 
+def one_mobile_floor(n, p):
+    """(1 - (1-p)^n)^2: both sides hold at least one nontrivial pair."""
+    return hierarchical_floor(n, p) ** 2
+
+
 def merge_success(p, eps):
     """1 - (1-p)^2 - eps p^2: one pairwise merge with failure rate eps."""
+    _check_rates(p=p, eps=eps)
     p, eps = Fraction(p), Fraction(eps)
     return 1 - (1 - p) ** 2 - eps * p**2
 
@@ -355,13 +377,10 @@ def epsilon_prob(j):
 
 
 def hierarchical_success(n, p, eps=0):
-    """Pairwise-merge tree over n pairs: q_{k+1} = 1 - (1-q_k)^2 - eps q_k^2."""
-    if n < 2 or n & (n - 1) != 0:
-        raise PlanningError(f"hierarchical merging needs a power-of-two pair count, got {n}")
-    q = Fraction(p)
-    eps = Fraction(eps)
-    for _ in range(int(math.log2(n))):
-        q = 1 - (1 - q) ** 2 - eps * q**2
+    """Pairwise-merge tree over n pairs: q_{k+1} = merge_success(q_k, eps)."""
+    q = p
+    for _ in range(_merge_levels(n)):
+        q = merge_success(q, eps)
     return q
 
 
@@ -380,6 +399,23 @@ def _assignments(n):
     return out
 
 
+def _assignment_probabilities(n, j):
+    """Success probability of every pair-charge assignment (left, right)
+    over n pairs per side: simulated on the composite route when both sides
+    hold a nontrivial pair, else 0."""
+    if n > 2:
+        raise PlanningError(
+            "gadget-level enumeration is supported for at most 2 pairs per side"
+        )
+    return {
+        (left, right): one_mobile_assignment_success(left, right, j)
+        if any(left) and any(right)
+        else 0.0
+        for left in _assignments(n)
+        for right in _assignments(n)
+    }
+
+
 def exact_success(scheme, n, p, j=None, eps=None):
     """Exact success probability of a scheme over n pairs per side.
 
@@ -390,22 +426,18 @@ def exact_success(scheme, n, p, j=None, eps=None):
     recursion takes the order-j residual as its merge failure rate unless
     eps is given explicitly.
     """
+    _check_pairs(n)
+    _check_rates(p=p, eps=eps)
     if scheme == "one-mobile":
         if j is None:
             return one_mobile_floor(n, p)
-        if n > 2:
-            raise PlanningError(
-                "gadget-level enumeration is supported for at most 2 pairs per side"
-            )
         p = float(p)
         total = 0.0
-        for left in _assignments(n):
-            for right in _assignments(n):
-                weight = 1.0
-                for c in left + right:
-                    weight *= p if c else 1 - p
-                if any(left) and any(right):
-                    total += weight * one_mobile_assignment_success(left, right, j)
+        for (left, right), prob in _assignment_probabilities(n, j).items():
+            weight = 1.0
+            for c in left + right:
+                weight *= p if c else 1 - p
+            total += weight * prob
         return total
     if scheme == "hierarchical":
         if eps is None:
@@ -424,6 +456,12 @@ def monte_carlo(scheme, n, p, trials, seed, j=None, eps=None):
     Returns estimate, standard error and the raw success count.  The
     stream is fully determined by the seed.
     """
+    _check_pairs(n)
+    _check_rates(p=p, eps=eps)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     p = float(p)
     if scheme == "one-mobile":
@@ -432,17 +470,7 @@ def monte_carlo(scheme, n, p, trials, seed, j=None, eps=None):
         if j is None:
             success = left.any(axis=1) & right.any(axis=1)
         else:
-            if n > 2:
-                raise PlanningError(
-                    "gadget-level enumeration is supported for at most 2 pairs per side"
-                )
-            probs = {
-                (l, r): one_mobile_assignment_success(l, r, j)
-                if any(l) and any(r)
-                else 0.0
-                for l in _assignments(n)
-                for r in _assignments(n)
-            }
+            probs = _assignment_probabilities(n, j)
             per_trial = np.array(
                 [
                     probs[(tuple(int(c) for c in l), tuple(int(c) for c in r))]
@@ -451,10 +479,7 @@ def monte_carlo(scheme, n, p, trials, seed, j=None, eps=None):
             )
             success = rng.random(trials) < per_trial
     elif scheme == "hierarchical":
-        if n < 2 or n & (n - 1) != 0:
-            raise PlanningError(
-                f"hierarchical merging needs a power-of-two pair count, got {n}"
-            )
+        _merge_levels(n)
         if eps is None:
             eps = 0.0 if j is None else epsilon_prob(j)["probability"]
         eps = float(eps)
@@ -495,12 +520,10 @@ def braid_cost(n, j):
     each level, the literal total l_j * n(n-1)/2, and the dominant final
     level l_j * (n/2)^2 that carries the quadratic scaling.
     """
-    if n < 2 or n & (n - 1) != 0:
-        raise PlanningError(f"hierarchical merging needs a power-of-two pair count, got {n}")
     lj = gadget_word_length(j)
     levels = []
     total = 0
-    for k in range(1, int(math.log2(n)) + 1):
+    for k in range(1, _merge_levels(n) + 1):
         merges = n >> k
         span = (1 << (k - 1)) ** 2
         cost = merges * lj * span

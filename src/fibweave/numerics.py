@@ -22,6 +22,7 @@ from mpmath.libmp import (
     mpf_cmp,
     mpf_cos,
     mpf_div,
+    mpf_hash,
     mpf_hypot,
     mpf_mul,
     mpf_neg,
@@ -191,7 +192,11 @@ class BigComplex:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal values hash equal, also across int, float and complex: a
+        # real value hashes as its exact rational, as Python's numbers do
+        if self.im == fzero:
+            return mpf_hash(self.re)
+        return hash(self.to_complex())
 
     def __repr__(self):
         return f"BigComplex({self.to_complex()!r} @ {self.precision_bits}b)"
@@ -393,40 +398,3 @@ class PhaseDiag:
     def __repr__(self):
         return f"PhaseDiag({self.numerator}/{self.denominator})"
 
-
-def _phase_gap(u, v, phi):
-    d = u - np.exp(1j * phi) * v
-    return 0.5 * np.linalg.norm(d)
-
-
-def proj_distance(u, v, grid=64, tol=1e-14):
-    """Distance between 2x2 matrices up to a global phase.
-
-    Minimises 0.5 * ||U - e^{i phi} V||_F over the phase with a coarse grid
-    followed by golden-section refinement.  This is a pseudometric: matrices
-    differing only by a global phase are at distance zero.
-    """
-    if isinstance(u, Mat2):
-        u = u.to_numpy()
-    if isinstance(v, Mat2):
-        v = v.to_numpy()
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    vals = [_phase_gap(u, v, p) for p in phis]
-    k = int(np.argmin(vals))
-    step = 2.0 * math.pi / grid
-    a, b = phis[k] - step, phis[k] + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = _phase_gap(u, v, c), _phase_gap(u, v, d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _phase_gap(u, v, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _phase_gap(u, v, d)
-    return _phase_gap(u, v, 0.5 * (a + b))

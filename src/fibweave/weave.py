@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import F_NP
-from .words import word_metrics
 
 BASES = ("Pair", "Nested")
 SLOTS = ("B", "C", "D")
@@ -95,20 +94,18 @@ class WeaveProgram:
         return len(self.moves) + len(self.closing)
 
 
-def compile_weave(word, start):
-    """Walk the word in execution order and emit one move per unit R power.
+def _walk(word, start):
+    """Walk the word in execution order from a checked start state.
 
-    When the word contains a multiple of three F tokens and the walk ends
-    away from the start state, a single positive closing move is appended;
-    the machine guarantees the end state is then the R-partner of the start,
-    so one move always suffices to restore the star's position.
+    Returns the steps, one Move per unit R power and None per F token, and
+    the end state.  The compiler and the semantics share this walk.
     """
-    start = _check_state(start)
     s = start
-    moves = []
+    steps = []
     for t in reversed(tuple(word)):
         if t[0] == "F":
             s = f_toggle(s)
+            steps.append(None)
         else:
             unit = 1 if t[1] > 0 else -1
             for _ in range(abs(t[1])):
@@ -116,13 +113,27 @@ def compile_weave(word, start):
                     kind = "X+" if unit > 0 else "X-"
                 else:
                     kind = "L-" if unit > 0 else "L+"
-                moves.append(Move(kind, s, R_PARTNER[s]))
+                steps.append(Move(kind, s, R_PARTNER[s]))
                 s = R_PARTNER[s]
-    end = s
+    return steps, s
+
+
+def compile_weave(word, start):
+    """Walk the word in execution order and emit one move per unit R power.
+
+    When the word contains a multiple of three F tokens and the walk ends
+    away from the start state, a single positive closing move is appended.
+    For the recursion words the end state is then the R-partner of the
+    start, so one move restores the star's position; any other word raises
+    ValueError.
+    """
+    start = _check_state(start)
+    steps, end = _walk(word, start)
+    moves = [m for m in steps if m is not None]
     closing = []
-    if word_metrics(word)["f_count"] % 3 == 0 and end != start:
+    if (len(steps) - len(moves)) % 3 == 0 and end != start:
         if R_PARTNER[end] != start:
-            raise AssertionError(f"closing from {end} cannot reach {start} in one move")
+            raise ValueError(f"closing from {end} cannot reach {start} in one move")
         kind = "X+" if end in EXCHANGE_STATES else "L-"
         closing.append(Move(kind, end, start))
         end = start
@@ -154,25 +165,16 @@ def weave_semantics(word, start):
     The closing move is not included (it is position bookkeeping, applied
     after the word's matrix has been realised).
     """
-    start = _check_state(start)
-    s = start
+    steps, end = _walk(word, _check_state(start))
     m = np.eye(2, dtype=complex)
     phase_exponent = 0
-    for t in reversed(tuple(word)):
-        if t[0] == "F":
+    for move in steps:
+        if move is None:
             m = F_NP @ m
-            s = f_toggle(s)
         else:
-            unit = 1 if t[1] > 0 else -1
-            for _ in range(abs(t[1])):
-                if s in EXCHANGE_STATES:
-                    kind = "X+" if unit > 0 else "X-"
-                else:
-                    kind = "L-" if unit > 0 else "L+"
-                m = move_matrix(kind) @ m
-                phase_exponent += PHASE_EXPONENT[kind]
-                s = R_PARTNER[s]
-    return m, phase_exponent, s
+            m = move_matrix(move.kind) @ m
+            phase_exponent += PHASE_EXPONENT[move.kind]
+    return m, phase_exponent, end
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +330,6 @@ def gadget_exchanges(moves, left, group1_size=1, group2_size=1, variant=0):
         else:
             out.extend((x, ccw) for x in range(p, q))
     return out
-
-
-def weave_to_generators(moves, star_left, variant=0):
-    """Adjacent-exchange expansion for the four-anyon gadget geometry.
-
-    `star_left` is the position of slot B (the leftmost of the three
-    positions the star visits); both static groups have size one.
-    """
-    return gadget_exchanges(moves, star_left, 1, 1, variant)
 
 
 def invert_moves(moves):

@@ -5,19 +5,12 @@ import numpy as np
 import pytest
 
 from fibweave.chain import Chain, is_admissible, paths_for, root
+from fibweave.checks import _gap, _random_state
 from fibweave.model import S_NP
 
 
-def _random_state(rng, charges):
-    paths = paths_for(charges)
-    v = rng.normal(size=len(paths)) + 1j * rng.normal(size=len(paths))
-    v /= np.linalg.norm(v)
-    return Chain({(tuple(charges), p): v[i] for i, p in enumerate(paths)})
-
-
 def _close(a, b, tol=1e-12):
-    keys = set(a.amps) | set(b.amps)
-    return max(abs(a.amps.get(k, 0) - b.amps.get(k, 0)) for k in keys) < tol
+    return _gap(a, b) < tol
 
 
 def test_paths_for_small():

@@ -93,6 +93,8 @@ def test_verify_json_payload(capsys):
     payload = json.loads(out)
     assert payload["aggregate_passed"] is True
     assert payload["suites"]["closure"]["passed"] is True
+    assert payload["suites"]["closure"]["bounds"]["semantics_gap"] == 1e-12
+    assert payload["suites"]["closure"]["seconds"] > 0
     assert payload["precision_bits"] == 256
 
 
@@ -148,6 +150,25 @@ def test_simulate_flag_validation(capsys):
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scheme", "hierarchical", "--n", "4", "--p", "0.9", "--eps", "2"],
+        ["simulate", "--scheme", "one-mobile", "--n", "0", "--p", "0.5",
+         "--perfect-gadgets"],
+        ["simulate", "--scheme", "one-mobile", "--n", "2", "--p", "0.5",
+         "--perfect-gadgets", "--trials", "10", "--seed", "-1"],
+        ["simulate", "--scheme", "one-mobile", "--n", "2", "--p", "0.5",
+         "--perfect-gadgets", "--trials", "-5"],
+        ["chain-run", "/nonexistent/program.txt"],
+    ],
+)
+def test_bad_input_is_one_line_usage_error(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_simulate_power_of_two_enforced(capsys):

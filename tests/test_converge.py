@@ -6,20 +6,14 @@ import numpy as np
 import pytest
 
 from fibweave import converge
-from fibweave.model import make_constants
-from fibweave.numerics import Mat2, BigComplex, exp_i_pi
-
-
-def _rand_unitary(rng):
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+from fibweave.checks import _big_pow, _rand_unitary_big, _rand_unitary_np
+from fibweave.numerics import Mat2
 
 
 def test_fifth_power_laws_double():
     rng = np.random.default_rng(17)
     for _ in range(50):
-        u = _rand_unitary(rng)
+        u = _rand_unitary_np(rng)
         w = converge.iconverge(u)
         assert abs(abs(w[1, 0]) - abs(u[1, 0]) ** 5) < 1e-13
         w = converge.xconverge(u)
@@ -28,7 +22,7 @@ def test_fifth_power_laws_double():
 
 def test_products_are_unitary():
     rng = np.random.default_rng(8)
-    u = _rand_unitary(rng)
+    u = _rand_unitary_np(rng)
     for w in (converge.iconverge(u), converge.xconverge(u), converge.amplify(u)):
         np.testing.assert_allclose(w.conj().T @ w, np.eye(2), atol=1e-12)
 
@@ -36,7 +30,7 @@ def test_products_are_unitary():
 def test_cube_law_short_products():
     rng = np.random.default_rng(23)
     for _ in range(30):
-        u = _rand_unitary(rng)
+        u = _rand_unitary_np(rng)
         w = converge.converge_pi3(u)
         assert abs(abs(w[0, 0]) - abs(u[0, 0]) ** 3) < 1e-13
         w = converge.general_sequence(u, 1)
@@ -46,7 +40,7 @@ def test_cube_law_short_products():
 def test_amplify_chebyshev_law():
     rng = np.random.default_rng(4)
     for _ in range(30):
-        u = _rand_unitary(rng)
+        u = _rand_unitary_np(rng)
         w = converge.amplify(u)
         x = min(1.0, abs(u[0, 0]))
         assert abs(abs(w[0, 0]) - abs(np.cos(3 * np.arccos(x)))) < 1e-12
@@ -55,7 +49,7 @@ def test_amplify_chebyshev_law():
 def test_general_sequence_matches_five_factor_form():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        u = _rand_unitary(rng)
+        u = _rand_unitary_np(rng)
         np.testing.assert_allclose(
             converge.general_sequence(u, 2), converge.iconverge(u), atol=1e-13
         )
@@ -79,27 +73,15 @@ def test_non_unitary_rejected():
         converge.amplify(bad)
 
 
-def _big_rotation(frac_c, frac_s, bits):
-    """Exactly unitary: [[c, s], [-s*, c*]] with |c|^2 + |s|^2 = 1 by
-    construction from a single angle."""
-    half = exp_i_pi(frac_c, bits)
-    c = (half + half.conjugate()) * 0.5          # cos
-    s = (half - half.conjugate()) * complex(0, -0.5)  # sin
-    ph = exp_i_pi(frac_s, bits)
-    return Mat2(c * ph, s, -s, c * ph.conjugate())
-
-
 def test_big_precision_law():
-    u = _big_rotation(0.23, 0.71, 192)
+    u = _rand_unitary_big(np.random.default_rng(3), 192)
     assert u.is_unitary()
     w = converge.iconverge(u)
-    t = abs(u.a10)
-    t5 = t * t * t * t * t
-    assert abs(float(abs(abs(w.a10) - t5))) < 2.0 ** -150
+    assert abs(float(abs(abs(w.a10) - _big_pow(abs(u.a10), 5)))) < 2.0 ** -150
 
 
 def test_big_and_double_routes_agree():
-    u = _big_rotation(0.37, -0.41, 192)
+    u = _rand_unitary_big(np.random.default_rng(4), 192)
     wb = converge.iconverge(u).to_numpy()
     wd = converge.iconverge(u.to_numpy())
     np.testing.assert_allclose(wb, wd, atol=1e-12)

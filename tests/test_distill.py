@@ -129,6 +129,16 @@ def test_input_validation():
         distill.run_end_to_end([1], [1], 1, route="magic")
     with pytest.raises(ValueError):
         distill.run_end_to_end([2], [1], 1)
+    with pytest.raises(ValueError, match="eps must lie in"):
+        distill.hierarchical_success(4, 0.9, eps=2)
+    with pytest.raises(ValueError, match="p must lie in"):
+        distill.one_mobile_floor(2, 1.5)
+    with pytest.raises(ValueError, match="n=0"):
+        distill.exact_success("one-mobile", 0, 0.5)
+    with pytest.raises(ValueError, match="seed"):
+        distill.monte_carlo("one-mobile", 2, 0.5, 10, -1)
+    with pytest.raises(ValueError, match="trials"):
+        distill.monte_carlo("one-mobile", 2, 0.5, 0, 0)
 
 
 def test_closed_form_floors_exact():

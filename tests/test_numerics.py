@@ -1,5 +1,5 @@
-"""Tests for the self-contained precision layer: scalars, 2x2 matrices,
-phase diagonals and the phase-blind matrix distance."""
+"""Tests for the self-contained precision layer: scalars, 2x2 matrices
+and phase diagonals."""
 from __future__ import annotations
 
 import math
@@ -19,7 +19,6 @@ from fibweave.numerics import (
     big_pi,
     big_sqrt,
     exp_i_pi,
-    proj_distance,
 )
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64)
@@ -69,6 +68,14 @@ def test_mixed_precision_promotes():
     # scalar coercion keeps the BigComplex precision
     assert (2 * hi).precision_bits == 256
     assert ((1 + 2j) - hi).precision_bits == 256
+
+
+def test_equal_values_hash_equal():
+    assert len({BigComplex.one(), 1, 1.0, 1 + 0j}) == 1
+    assert hash(BigComplex.from_complex(-3.25)) == hash(-3.25)
+    assert hash(BigComplex.from_int(2**60 + 1)) == hash(2**60 + 1)
+    z = BigComplex.from_complex(1.5 - 2j, 128)
+    assert z == 1.5 - 2j and hash(z) == hash(1.5 - 2j)
 
 
 def test_conjugate_and_abs():
@@ -146,30 +153,6 @@ def test_phase_diag_matrices_agree():
     np.testing.assert_allclose(p.to_numpy(), p.to_mat2(128).to_numpy(), atol=1e-15)
     top_left = p.to_mat2(128).a00
     assert top_left == 1
-
-
-def _rand_unitary(rng):
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_proj_distance_basics():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert proj_distance(np.eye(2), x) == pytest.approx(1.0, abs=1e-9)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        u = _rand_unitary(rng)
-        # invariant under a global phase on either argument
-        assert proj_distance(u, np.exp(1.234j) * u) < 1e-7
-        v = _rand_unitary(rng)
-        closed = 0.5 * math.sqrt(max(0.0, 4 - 2 * abs(np.trace(u.conj().T @ v))))
-        assert abs(proj_distance(u, v) - closed) < 1e-7
-
-
-def test_proj_distance_accepts_mat2():
-    m = Mat2.identity(128)
-    assert proj_distance(m, np.eye(2)) < 1e-12
 
 
 def test_default_precision_value():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibweave import weave, words
-from fibweave.chain import Chain, paths_for
+from fibweave.checks import _random_state
 from fibweave.model import R_NP
 from fibweave.weave import (
     EXCHANGE_STATES,
@@ -26,7 +26,6 @@ from fibweave.weave import (
     program_from_text,
     program_to_text,
     weave_semantics,
-    weave_to_generators,
 )
 
 
@@ -93,6 +92,14 @@ def test_no_closing_when_f_count_not_divisible():
 def test_rejects_bad_start():
     with pytest.raises(ValueError):
         compile_weave(words.SEED_WEAVE, ("Pair", "E"))
+
+
+def test_unclosable_word_is_value_error():
+    # three F tokens end the walk on the basis partner of the start, which
+    # no single closing move reaches
+    for s in STATES:
+        with pytest.raises(ValueError, match="cannot reach"):
+            compile_weave((("F",),) * 3, s)
 
 
 def test_semantics_exact_phase_tracking():
@@ -187,21 +194,16 @@ def test_gadget_exchanges_group_sizes():
     ]
 
 
-def test_weave_to_generators_accepts_program():
+def test_gadget_exchanges_accepts_program():
     prog = compile_weave(words.m_word(0, words.SEED_WEAVE), ("Nested", "D"))
-    gens = weave_to_generators(prog, 2)
+    gens = gadget_exchanges(prog, 2)
     assert gens == gadget_exchanges(prog.all_moves(), 2)
     assert len(gens) <= 2 * prog.move_count
 
 
 def test_inversion_restores_chain_state():
     prog = compile_weave(words.m_word(1, words.SEED_WEAVE), ("Pair", "D"))
-    rng = np.random.default_rng(12)
-    charges = (1, 1, 1, 1)
-    paths = paths_for(charges)
-    v = rng.normal(size=len(paths)) + 1j * rng.normal(size=len(paths))
-    v /= np.linalg.norm(v)
-    st0 = Chain({(charges, p): v[i] for i, p in enumerate(paths)})
+    st0 = _random_state(np.random.default_rng(12), (1, 1, 1, 1))
     fwd = st0.apply_exchanges(gadget_exchanges(prog, 2))
     back = fwd.apply_exchanges(gadget_exchanges(invert_moves(prog), 2))
     assert abs(back.overlap(st0) - 1) < 1e-12
