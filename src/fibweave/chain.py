@@ -13,7 +13,8 @@ record is exactly the data of the composite's internal fusion tree, so
 distinct internal states stay orthogonal while all dynamics acts through
 total charges only.  Braiding an adjacent pair is exact: a 2x2 recoupled
 block when both charges and both ambient labels are nontrivial, a pure
-phase or a relabeling otherwise.
+phase or a relabeling otherwise.  A fixed exchange sequence on three
+adjacent objects can be applied as one fused block (:class:`WindowMap`).
 """
 from __future__ import annotations
 
@@ -120,6 +121,21 @@ class Chain:
             st = st.braid_adjacent(pos, ccw)
         return st
 
+    def apply_window(self, i, window):
+        """Apply a :class:`WindowMap` to objects i, i+1, i+2 (1-indexed)
+        in one pass: descriptors stay, the labels p[i], p[i+1] inside the
+        window are remapped by the block of the window's roots and outer
+        labels p[i-1], p[i+2]."""
+        out = {}
+        for (ch, p), a in self.amps.items():
+            roots = (root(ch[i - 1]), root(ch[i]), root(ch[i + 1]))
+            rows = window.block(roots, p[i - 1], p[i + 2])[p[i], p[i + 1]]
+            head, tail = p[:i], p[i + 2:]
+            for x, y, c in rows:
+                k = (ch, head + (x, y) + tail)
+                out[k] = out.get(k, 0) + c * a
+        return Chain(out)
+
     def merge(self, i):
         """Fuse objects i and i+1 into one composite object.
 
@@ -166,3 +182,51 @@ class Chain:
         return sum(
             np.conj(other.amps.get(k, 0)) * a for k, a in self.amps.items()
         )
+
+
+class WindowMap:
+    """An exchange sequence on three adjacent objects that returns every
+    object to its slot, applied as one block map (gate fusion).
+
+    Exchanges act through total charges only, so on a window of objects
+    (i, i+1, i+2) the sequence maps the two inner labels (p[i], p[i+1])
+    linearly, with coefficients fixed by the three roots and the outer
+    labels p[i-1] and p[i+2].  Each block is built on first use by running
+    the exchanges through :meth:`Chain.braid_adjacent` on a bare window,
+    one admissible input at a time, and kept: the same kernel in the same
+    arithmetic as the exchange-by-exchange run.
+    """
+
+    def __init__(self, exchanges):
+        self.exchanges = tuple(exchanges)
+        if any(pos not in (1, 2) for pos, _ccw in self.exchanges):
+            raise ValueError("window exchanges must sit at positions 1 and 2")
+        self._blocks = {}
+
+    def block(self, roots, l0, l3):
+        """{(a, b): ((a', b', coefficient), ...)} for window roots and
+        outer labels (l0, l3)."""
+        key = (roots, l0, l3)
+        block = self._blocks.get(key)
+        if block is None:
+            block = self._blocks[key] = self._build(roots, l0, l3)
+        return block
+
+    def _build(self, roots, l0, l3):
+        # distinct descriptors with the given roots, so that a net swap of
+        # two equal charges cannot pass for the identity
+        objects = tuple((r, slot) for slot, r in enumerate(roots))
+        r1, r2, r3 = roots
+        block = {}
+        for a in fuse(l0, r1):
+            for b in fuse(a, r2):
+                if l3 not in fuse(b, r3):
+                    continue
+                out = Chain({(objects, (l0, a, b, l3)): 1.0 + 0j})
+                rows = []
+                for (ch, p), c in out.apply_exchanges(self.exchanges).amps.items():
+                    if ch != objects:
+                        raise ValueError("exchange sequence does not return every object to its slot")
+                    rows.append((p[1], p[2], c))
+                block[a, b] = tuple(rows)
+        return block

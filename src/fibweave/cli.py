@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification failure, 2 invalid usage,
 3 planning errors (layouts or gadget orders that cannot be scheduled).
 The working precision for verification suites can be set with the
-FIBWEAVE_PRECISION environment variable (bits, >= 53).
+FIBWEAVE_PRECISION environment variable (bits, >= 128).
 """
 from __future__ import annotations
 
@@ -17,6 +17,10 @@ from fractions import Fraction
 from . import chain, checks, distill, weave, words
 from .numerics import DEFAULT_PRECISION_BITS
 
+#: lowest working precision at which every gating check can pass: the
+#: fixed error-law bound needs about 104 bits
+MIN_VERIFY_BITS = 128
+
 
 def _precision_from_env():
     raw = os.environ.get("FIBWEAVE_PRECISION")
@@ -27,8 +31,8 @@ def _precision_from_env():
     except ValueError:
         print(f"FIBWEAVE_PRECISION must be an integer, got {raw!r}", file=sys.stderr)
         sys.exit(2)
-    if bits < 53:
-        print(f"FIBWEAVE_PRECISION must be >= 53, got {bits}", file=sys.stderr)
+    if bits < MIN_VERIFY_BITS:
+        print(f"FIBWEAVE_PRECISION must be >= {MIN_VERIFY_BITS}, got {bits}", file=sys.stderr)
         sys.exit(2)
     return bits
 
@@ -73,8 +77,12 @@ def _cmd_compile(args):
             payload["generators"] = [[pos, "ccw" if ccw else "cw"] for pos, ccw in gens]
         out = json.dumps(payload, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(out)
     return 0

@@ -9,12 +9,19 @@ general odd-order family is built by a two-sided recursion.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .numerics import Mat2, PhaseDiag
 
 UNITARITY_TOL = 1e-10
+
+
+@lru_cache(maxsize=64)
+def _phase_mat2(frac, bits):
+    """diag(1, e^{i pi frac}) at `bits`, built once: Mat2 is immutable."""
+    return PhaseDiag(frac).to_mat2(bits)
 
 
 def _prepare(u):
@@ -24,7 +31,7 @@ def _prepare(u):
         if not u.is_unitary():
             raise ValueError("matrix is not unitary at its carried precision")
         bits = u.precision_bits
-        return u.dagger(), lambda frac: PhaseDiag(Fraction(frac)).to_mat2(bits)
+        return u.dagger(), lambda frac: _phase_mat2(Fraction(frac), bits)
     u = np.asarray(u)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")

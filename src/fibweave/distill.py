@@ -14,10 +14,13 @@ Gadgets are weave programs compiled from the gate-word recursions: the
 addition gadget from the five-token seed (entry error tau^-(2*5^j)), the
 integration gadget from the off-diagonal recursion at even order.  The
 protocol is simulated on two independent routes: 'physical', expanding
-every gadget to elementary adjacent exchanges over all anyons, and
-'composite', folding finished groups into composite objects and braiding
-through their total charges.  Their agreement is a structural check, not a
-definition: neither route feeds the other.
+every gadget to elementary adjacent exchanges over all anyons and applying
+them one at a time, and 'composite', folding finished groups into
+composite objects and braiding through their total charges.  On the
+composite route every gadget acts on a window of three single objects, so
+it is applied as one cached block map (:class:`~fibweave.chain.WindowMap`).
+Their agreement is a structural check, not a definition: neither route
+feeds the other.
 
 Closed-form success floors for perfect gadgets are returned as exact
 rationals; gadget-level probabilities come from the simulation routes.
@@ -28,10 +31,11 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .chain import Chain, root
+from .chain import Chain, WindowMap, root
 from .model import F_NP, TAU_F, fuse
 from .weave import (
     ACCEPTED_LOOP_ISOTOPY,
@@ -48,7 +52,10 @@ from .words import (
     n_word,
 )
 
-MAX_PROTOCOL_ANYONS = 12
+MAX_PROTOCOL_ANYONS = 18
+#: pairs per side up to which gadget-level success is enumerated over all
+#: pair-charge assignments (up to 225 composite runs)
+MAX_ENUMERATED_PAIRS = 4
 
 
 class PlanningError(ValueError):
@@ -63,8 +70,28 @@ def round_up_to_even(j):
     return j if j % 2 == 0 else j + 1
 
 
+@lru_cache(maxsize=16)
+def _gadgets(j, jN):
+    """{name: (program, window map)} for the add, integrate and inverse-add
+    gadgets, compiled once per pair of orders."""
+    add = compile_weave(m_word(j, SEED_WEAVE), ("Nested", "D"))
+    programs = {
+        "add": add,
+        "integrate": compile_weave(n_word(jN), ("Pair", "D")),
+        "inverse": invert_program(add),
+    }
+    return {
+        name: (prog, WindowMap(gadget_exchanges(prog, 1)))
+        for name, prog in programs.items()
+    }
+
+
 def plan_one_mobile(n_left, n_right, j, jN=None):
     """Gadget programs and operation schedule for the one-mobile protocol.
+
+    ``gadgets`` maps 'add', 'integrate' and 'inverse' to (weave program,
+    window map); both are compiled once per (j, jN) and shared by every
+    plan of those orders, so window blocks built by one run serve the next.
 
     The schedule: carry the star leftward across every pair (all transits
     are through vacuum-total pairs and act trivially), then per pair from
@@ -90,9 +117,7 @@ def plan_one_mobile(n_left, n_right, j, jN=None):
             "integration gadgets exist only at even order: "
             f"an order-{jN} word ends in the wrong machine state"
         )
-    add = compile_weave(m_word(j, SEED_WEAVE), ("Nested", "D"))
-    integrate = compile_weave(n_word(jN), ("Pair", "D"))
-    inverse = invert_program(add)
+    gadgets = dict(_gadgets(j, jN))
     n = n_left + n_right
     schedule = [{"op": "transit-left", "pair": k} for k in range(n, 1, -1)]
     for k in range(1, n + 1):
@@ -110,11 +135,9 @@ def plan_one_mobile(n_left, n_right, j, jN=None):
         "n_right": n_right,
         "j": j,
         "jN": jN,
-        "add_program": add,
-        "integrate_program": integrate,
-        "inverse_program": inverse,
+        "gadgets": gadgets,
         "schedule": schedule,
-        "add_exchanges": len(gadget_exchanges(add, 1)),
+        "add_exchanges": len(gadgets["add"][1].exchanges),
         "accepted_isotopy": ACCEPTED_LOOP_ISOTOPY,
     }
 
@@ -186,13 +209,21 @@ class _Executor:
                 self.labels[si - 1], self.labels[si] = self.labels[si], self.labels[si - 1]
                 si -= 1
 
-    def run_gadget(self, program, pred1, pred2):
+    def run_gadget(self, name, pred1, pred2):
         i1, m1 = self._extent(pred1)
         i2, m2 = self._extent(pred2)
         if i2 != i1 + m1 or self._star() != i2 + m2:
             raise AssertionError(f"gadget geometry violated: {self.labels}")
-        for pos, ccw in gadget_exchanges(program, i1 + 1, m1, m2):
-            self._braid(pos, ccw)
+        program, window = self.plan["gadgets"][name]
+        if self.comp:
+            # both groups are single objects: one block map on the window
+            if m1 != 1 or m2 != 1:
+                raise AssertionError(f"composite gadget on a group: {self.labels}")
+            self.state = self.state.apply_window(i1 + 1, window)
+            self.exchanges += len(window.exchanges)
+        else:
+            for pos, ccw in gadget_exchanges(program, i1 + 1, m1, m2):
+                self._braid(pos, ccw)
 
     def merge_group(self, pred, new_label):
         i0, m = self._extent(pred)
@@ -205,13 +236,7 @@ class _Executor:
         return lambda t: t[0] == "web" and t[1] == side
 
     def execute(self):
-        plan = self.plan
-        add, integ, inverse = (
-            plan["add_program"],
-            plan["integrate_program"],
-            plan["inverse_program"],
-        )
-        for step in plan["schedule"]:
+        for step in self.plan["schedule"]:
             op = step["op"]
             if op == "transit-left":
                 self.transit(False)
@@ -220,7 +245,7 @@ class _Executor:
             elif op == "add":
                 k = step["pair"]
                 self.run_gadget(
-                    add,
+                    "add",
                     lambda t, k=k: t == ("pair", k, 0),
                     lambda t, k=k: t == ("pair", k, 1),
                 )
@@ -250,16 +275,16 @@ class _Executor:
                     if self.comp
                     else (lambda t: t[0] == "web" and t[1] == side and t[2] < k)
                 )
-                self.run_gadget(integ, pred1, pred2)
+                self.run_gadget("integrate", pred1, pred2)
                 if self.comp:
                     self.merge_group(
                         lambda t: t == ("pairc", side, k) or t == ("web", side),
                         ("web", side),
                     )
             elif op == "cross-integrate":
-                self.run_gadget(integ, self._web("L"), self._web("R"))
+                self.run_gadget("integrate", self._web("L"), self._web("R"))
             elif op == "inverse-add":
-                self.run_gadget(inverse, self._web("L"), self._web("R"))
+                self.run_gadget("inverse", self._web("L"), self._web("R"))
             else:
                 raise AssertionError(f"unknown op {op}")
             self.state.prune(1e-18)
@@ -399,21 +424,45 @@ def _assignments(n):
     return out
 
 
-def _assignment_probabilities(n, j):
-    """Success probability of every pair-charge assignment (left, right)
-    over n pairs per side: simulated on the composite route when both sides
-    hold a nontrivial pair, else 0."""
-    if n > 2:
+def _assignment_runs(n, j):
+    """Composite-route result of every pair-charge assignment (left, right)
+    over n pairs per side that holds a nontrivial pair on both sides; every
+    other assignment fails outright and is absent."""
+    if n > MAX_ENUMERATED_PAIRS:
         raise PlanningError(
-            "gadget-level enumeration is supported for at most 2 pairs per side"
+            "gadget-level enumeration is supported for at most "
+            f"{MAX_ENUMERATED_PAIRS} pairs per side"
         )
+    sides = [a for a in _assignments(n) if any(a)]
     return {
-        (left, right): one_mobile_assignment_success(left, right, j)
-        if any(left) and any(right)
-        else 0.0
-        for left in _assignments(n)
-        for right in _assignments(n)
+        (left, right): run_end_to_end(left, right, j, route="composite")
+        for left in sides
+        for right in sides
     }
+
+
+def _exact(scheme, n, p, j, eps):
+    """exact_success together with the composite runs it aggregated
+    (empty unless the one-mobile scheme has a gadget order)."""
+    _check_pairs(n)
+    _check_rates(p=p, eps=eps)
+    if scheme == "one-mobile":
+        if j is None:
+            return one_mobile_floor(n, p), {}
+        runs = _assignment_runs(n, j)
+        p = float(p)
+        total = 0.0
+        for (left, right), run in runs.items():
+            weight = 1.0
+            for c in left + right:
+                weight *= p if c else 1 - p
+            total += weight * run["probability"]
+        return total, runs
+    if scheme == "hierarchical":
+        if eps is None:
+            eps = 0 if j is None else epsilon_prob(j)["probability"]
+        return hierarchical_success(n, p, eps), {}
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def exact_success(scheme, n, p, j=None, eps=None):
@@ -426,24 +475,7 @@ def exact_success(scheme, n, p, j=None, eps=None):
     recursion takes the order-j residual as its merge failure rate unless
     eps is given explicitly.
     """
-    _check_pairs(n)
-    _check_rates(p=p, eps=eps)
-    if scheme == "one-mobile":
-        if j is None:
-            return one_mobile_floor(n, p)
-        p = float(p)
-        total = 0.0
-        for (left, right), prob in _assignment_probabilities(n, j).items():
-            weight = 1.0
-            for c in left + right:
-                weight *= p if c else 1 - p
-            total += weight * prob
-        return total
-    if scheme == "hierarchical":
-        if eps is None:
-            eps = 0 if j is None else epsilon_prob(j)["probability"]
-        return hierarchical_success(n, p, eps)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return _exact(scheme, n, p, j, eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +502,10 @@ def monte_carlo(scheme, n, p, trials, seed, j=None, eps=None):
         if j is None:
             success = left.any(axis=1) & right.any(axis=1)
         else:
-            probs = _assignment_probabilities(n, j)
+            probs = {k: run["probability"] for k, run in _assignment_runs(n, j).items()}
             per_trial = np.array(
                 [
-                    probs[(tuple(int(c) for c in l), tuple(int(c) for c in r))]
+                    probs.get((tuple(int(c) for c in l), tuple(int(c) for c in r)), 0.0)
                     for l, r in zip(left, right)
                 ]
             )
@@ -576,15 +608,14 @@ class DistillReport:
 def simulate_report(scheme, n, p, trials=0, seed=None, j=None, eps=None):
     """Exact value plus optional sampling, bundled for serialization."""
     p_frac = p if isinstance(p, Fraction) else Fraction(str(p))
-    exact = exact_success(scheme, n, p_frac, j=j, eps=eps)
+    exact, runs = _exact(scheme, n, p_frac, j, eps)
     sampled = std_error = None
     if trials:
         mc = monte_carlo(scheme, n, float(p_frac), trials, seed or 0, j=j, eps=eps)
         sampled, std_error = mc["estimate"], mc["std_error"]
-    if scheme == "one-mobile" and j is not None:
-        plan = plan_one_mobile(n, n, j)
-        res = run_end_to_end([1] * n, [1] * n, j, route="composite")
-        counts = {"gadget": plan["add_exchanges"], "total": res["exchanges"]}
+    if runs:
+        full = runs[(1,) * n, (1,) * n]
+        counts = {"gadget": full["add_exchanges"], "total": full["exchanges"]}
     elif scheme == "hierarchical" and j is not None:
         cost = braid_cost(n, j)
         counts = {"gadget": cost["word_length"], "total": cost["total_literal"]}

@@ -87,6 +87,9 @@ class BigComplex:
     def __float__(self):
         return to_float(self.re)
 
+    def is_zero(self):
+        return self.re == fzero and self.im == fzero
+
     def mag(self):
         """|z| as a raw mpf tuple at this value's precision."""
         return mpf_hypot(self.re, self.im, self.precision_bits, _RND)
@@ -234,6 +237,19 @@ def exp_i_pi(frac, precision_bits=DEFAULT_PRECISION_BITS):
     )
 
 
+def _dot(x, y, z, w):
+    """x*y + z*w.  A product with an exact-zero factor is left out: it is
+    an exact zero, and adding one rounds nothing, so the value and its
+    precision come out bit for bit as from the full sum (diagonal phase
+    matrices make half the terms of a product zero)."""
+    if x.is_zero() or y.is_zero():
+        x, y, z, w = z, w, x, y
+    if z.is_zero() or w.is_zero():
+        t = x * y
+        return BigComplex(t.re, t.im, max(t.precision_bits, z.precision_bits, w.precision_bits))
+    return x * y + z * w
+
+
 class Mat2:
     """Immutable 2x2 matrix over BigComplex entries."""
 
@@ -276,10 +292,10 @@ class Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
         return Mat2(
-            self.a00 * other.a00 + self.a01 * other.a10,
-            self.a00 * other.a01 + self.a01 * other.a11,
-            self.a10 * other.a00 + self.a11 * other.a10,
-            self.a10 * other.a01 + self.a11 * other.a11,
+            _dot(self.a00, other.a00, self.a01, other.a10),
+            _dot(self.a00, other.a01, self.a01, other.a11),
+            _dot(self.a10, other.a00, self.a11, other.a10),
+            _dot(self.a10, other.a01, self.a11, other.a11),
         )
 
     def __mul__(self, scalar):

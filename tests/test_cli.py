@@ -119,6 +119,24 @@ def test_precision_env_invalid(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bits", ["53", "127"])
+def test_precision_below_verify_floor_is_usage_error(bits, capsys, monkeypatch):
+    monkeypatch.setenv("FIBWEAVE_PRECISION", bits)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "counts"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_compile_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing_dir" / "out.txt"
+    code, out, err = run(["compile", "--word", "m", "--j", "0", "-o", str(target)], capsys)
+    assert code == 2
+    assert out == "" and "Traceback" not in err and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_simulate_exact_field(capsys):
     argv = [
         "simulate", "--scheme", "one-mobile", "--n", "4", "--p", "0.5",

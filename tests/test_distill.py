@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from fibweave import distill
+from fibweave.chain import Chain
+from fibweave.checks import _gap, _random_state
 from fibweave.distill import PlanningError
-from fibweave.model import TAU_F
+from fibweave.model import TAU_F, fuse
+from fibweave.weave import gadget_exchanges
 
 # joint success probabilities for one nontrivial pair per side, frozen from
 # the simulator itself after cross-validation of its two routes
@@ -52,7 +55,7 @@ def test_plan_rounds_integration_order_up():
 
 def test_plan_rejections():
     with pytest.raises(PlanningError):
-        distill.plan_one_mobile(3, 3, 1)   # 14 anyons
+        distill.plan_one_mobile(5, 5, 1)   # 22 anyons
     with pytest.raises(PlanningError):
         distill.plan_one_mobile(0, 1, 1)
     with pytest.raises(PlanningError):
@@ -81,11 +84,37 @@ def test_joint_probability_one_pair_per_side(j):
 
 
 def test_routes_agree_without_sharing_machinery():
-    for j in (0, 1):
-        a = distill.run_end_to_end([1], [1], j)
-        b = distill.run_end_to_end([1], [1], j, route="composite")
+    for side, j in (([1], 0), ([1], 1), ([1, 1, 1], 1)):
+        a = distill.run_end_to_end(side, side, j)
+        b = distill.run_end_to_end(side, side, j, route="composite")
         assert abs(a["probability"] - b["probability"]) < 1e-11
         assert a["exchanges"] > b["exchanges"]
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+@pytest.mark.parametrize("name", ["add", "integrate", "inverse"])
+@pytest.mark.parametrize("r1, r2", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_window_block_matches_exchange_by_exchange(j, name, r1, r2):
+    program, window = distill.plan_one_mobile(1, 1, j)["gadgets"][name]
+    assert window.exchanges == tuple(gadget_exchanges(program, 1, 1, 1))
+    # objects: two anyons that leave l0 free, the window (two composites
+    # with roots r1, r2 and the star), one more anyon that leaves l3 free
+    roots = (1, 1, r1, r2, 1, 1)
+    descriptors = (1, 1, (r1, (1, 1)), (r2, (0, 0)), 1, 1)
+    random = _random_state(np.random.default_rng(7), roots)
+    state = Chain({(descriptors, p): a for (_, p), a in random.amps.items()})
+    fused = state.apply_window(3, window)
+    by_exchange = state.apply_exchanges([(pos + 2, ccw) for pos, ccw in window.exchanges])
+    assert _gap(fused, by_exchange) < 1e-12
+    assert {ch for ch, _ in fused.amps} == {descriptors}
+    outer = {(p[2], p[5]) for _, p in state.amps}
+    assert outer == {
+        (l0, l3)
+        for l0 in (0, 1)
+        for a in fuse(l0, r1)
+        for b in fuse(a, r2)
+        for l3 in fuse(b, 1)
+    }
 
 
 def test_exchange_counts_by_route():
@@ -159,10 +188,12 @@ def test_epsilon_prob():
 def test_exact_success_aggregates_assignments():
     v = distill.exact_success("one-mobile", 2, 0.3, j=1)
     assert v == pytest.approx(0.2600487378730658, abs=1e-12)
-    # sits just below the perfect-gadget floor
+    # sits just below the perfect-gadget floor, also at three pairs per side
     assert v < float(distill.one_mobile_floor(2, Fraction(3, 10)))
+    v3 = distill.exact_success("one-mobile", 3, 0.3, j=1)
+    assert v < v3 < float(distill.one_mobile_floor(3, Fraction(3, 10)))
     with pytest.raises(PlanningError):
-        distill.exact_success("one-mobile", 3, 0.3, j=1)
+        distill.exact_success("one-mobile", 5, 0.3, j=1)
     with pytest.raises(ValueError):
         distill.exact_success("nope", 2, 0.3)
 

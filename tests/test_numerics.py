@@ -125,6 +125,28 @@ def test_mat2_algebra():
     np.testing.assert_allclose((a - a).to_numpy(), np.zeros((2, 2)), atol=0)
 
 
+def test_mat2_product_with_zeros_is_bitwise_full_sum():
+    # zero entries at a higher precision than the rest: the product keeps
+    # the value and the precision of the full four-term sum
+    u = Mat2(*(exp_i_pi(Fraction(k, 7), 256) for k in (1, 2, 3, 4)))
+    zero = BigComplex.zero(512)
+    for d in (
+        PhaseDiag(3, 5).to_mat2(256),
+        Mat2(zero, exp_i_pi(Fraction(1, 3), 256), exp_i_pi(Fraction(2, 3), 256), zero),
+        Mat2(zero, zero, zero, zero),
+    ):
+        for a, b in ((u, d), (d, u), (d, d)):
+            full = [
+                a.entry(i, 0) * b.entry(0, k) + a.entry(i, 1) * b.entry(1, k)
+                for i in (0, 1)
+                for k in (0, 1)
+            ]
+            got = a @ b
+            assert [(z.re, z.im, z.precision_bits) for z in full] == [
+                (z.re, z.im, z.precision_bits) for z in (got.a00, got.a01, got.a10, got.a11)
+            ]
+
+
 def test_mat2_unitarity_check():
     # an exactly unitary rotation built from exp_i_pi
     c = exp_i_pi(Fraction(1, 7), 256)
