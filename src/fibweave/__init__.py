@@ -1,7 +1,7 @@
 """Braid-sequence compiler and verification simulator for the Fibonacci
 anyon model."""
 
-from .numerics import BigComplex, Mat2, PhaseDiag
+from .numerics import BigComplex, Mat2
 from .model import FibConstants, make_constants, fuse
 from .converge import (
     amplify,

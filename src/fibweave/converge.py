@@ -8,12 +8,14 @@ general odd-order family is built by a two-sided recursion.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import Mat2, PhaseDiag
+from . import numerics
+from .numerics import BigComplex, Mat2
 
 UNITARITY_TOL = 1e-10
 
@@ -21,7 +23,9 @@ UNITARITY_TOL = 1e-10
 @lru_cache(maxsize=64)
 def _phase_mat2(frac, bits):
     """diag(1, e^{i pi frac}) at `bits`, built once: Mat2 is immutable."""
-    return PhaseDiag(frac).to_mat2(bits)
+    zero = BigComplex.zero(bits)
+    # exp_i_pi is looked up on its module, where a timing wrapper may sit
+    return Mat2(BigComplex.one(bits), zero, zero, numerics.exp_i_pi(frac, bits))
 
 
 def _prepare(u):
@@ -37,7 +41,7 @@ def _prepare(u):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
     if np.abs(u.conj().T @ u - np.eye(2)).max() > UNITARITY_TOL:
         raise ValueError("matrix is not unitary")
-    return u.conj().T, lambda frac: PhaseDiag(Fraction(frac)).to_numpy()
+    return u.conj().T, lambda frac: np.diag([1.0, np.exp(1j * math.pi * float(frac))])
 
 
 def iconverge(u):

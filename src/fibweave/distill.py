@@ -36,21 +36,14 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import Chain, WindowMap, root
-from .model import F_NP, TAU_F, fuse
+from .model import F_NP, TAU_F
 from .weave import (
     ACCEPTED_LOOP_ISOTOPY,
     compile_weave,
     gadget_exchanges,
     invert_program,
 )
-from .words import (
-    SEED_S,
-    SEED_WEAVE,
-    generator_braid_count,
-    generator_word,
-    m_word,
-    n_word,
-)
+from .words import SEED_WEAVE, generator_braid_count, generator_word, m_word, n_word
 
 MAX_PROTOCOL_ANYONS = 18
 #: pairs per side up to which gadget-level success is enumerated over all
@@ -164,29 +157,33 @@ def init_protocol_state(assign_charges):
 
 
 class _Executor:
-    """Runs a plan on one route, tracking object labels and geometry."""
+    """Runs a plan on one route.
+
+    Every object carries the tag of its group.  The routes differ only in
+    how a gadget is applied (:meth:`run_gadget`) and in whether a finished
+    group is folded into one composite object (``fold``).
+    """
 
     def __init__(self, assign_left, assign_right, plan, composite_route):
         self.plan = plan
         self.comp = composite_route
-        self.assign = tuple(assign_left) + tuple(assign_right)
-        self.n_left = plan["n_left"]
-        self.state = init_protocol_state(self.assign)
-        self.labels = [("partner",)]
-        for k in range(1, len(self.assign) + 1):
-            self.labels += [("pair", k, 0), ("pair", k, 1)]
-        self.labels.append(("star",))
+        assign = tuple(assign_left) + tuple(assign_right)
+        self.state = init_protocol_state(assign)
+        self.tags = [("partner",)]
+        for k in range(1, len(assign) + 1):
+            self.tags += [("pair", k, 0), ("pair", k, 1)]
+        self.tags.append(("star",))
         self.exchanges = 0
 
     # -- geometry helpers ------------------------------------------
 
     def _star(self):
-        return self.labels.index(("star",))
+        return self.tags.index(("star",))
 
-    def _extent(self, pred):
-        idxs = [i for i, t in enumerate(self.labels) if pred(t)]
+    def _extent(self, tags):
+        idxs = [i for i, t in enumerate(self.tags) if t in tags]
         if not idxs or idxs != list(range(idxs[0], idxs[0] + len(idxs))):
-            raise AssertionError(f"group not contiguous: {self.labels}")
+            raise AssertionError(f"group not contiguous: {self.tags}")
         return idxs[0], len(idxs)
 
     def _braid(self, pos, ccw):
@@ -200,40 +197,37 @@ class _Executor:
         exchanges; trivial on vacuum-total pairs)."""
         si = self._star()
         for _ in range(2):
-            if rightward:
-                self._braid(si + 1, True)
-                self.labels[si], self.labels[si + 1] = self.labels[si + 1], self.labels[si]
-                si += 1
-            else:
-                self._braid(si, True)
-                self.labels[si - 1], self.labels[si] = self.labels[si], self.labels[si - 1]
-                si -= 1
+            other = si + 1 if rightward else si - 1
+            self._braid(max(si, other), True)
+            self.tags[si], self.tags[other] = self.tags[other], self.tags[si]
+            si = other
 
-    def run_gadget(self, name, pred1, pred2):
-        i1, m1 = self._extent(pred1)
-        i2, m2 = self._extent(pred2)
+    def run_gadget(self, name, first, second):
+        """Apply a gadget to the groups tagged `first` and `second`, which
+        lie side by side just left of the star."""
+        i1, m1 = self._extent({first})
+        i2, m2 = self._extent({second})
         if i2 != i1 + m1 or self._star() != i2 + m2:
-            raise AssertionError(f"gadget geometry violated: {self.labels}")
+            raise AssertionError(f"gadget geometry violated: {self.tags}")
         program, window = self.plan["gadgets"][name]
         if self.comp:
             # both groups are single objects: one block map on the window
             if m1 != 1 or m2 != 1:
-                raise AssertionError(f"composite gadget on a group: {self.labels}")
+                raise AssertionError(f"composite gadget on a group: {self.tags}")
             self.state = self.state.apply_window(i1 + 1, window)
             self.exchanges += len(window.exchanges)
         else:
             for pos, ccw in gadget_exchanges(program, i1 + 1, m1, m2):
                 self._braid(pos, ccw)
 
-    def merge_group(self, pred, new_label):
-        i0, m = self._extent(pred)
-        for _ in range(m - 1):
-            self.state = self.state.merge(i0 + 1).prune()
-        del self.labels[i0:i0 + m]
-        self.labels.insert(i0, new_label)
-
-    def _web(self, side):
-        return lambda t: t[0] == "web" and t[1] == side
+    def form(self, tags, tag, fold):
+        """Retag the contiguous group of objects tagged in `tags` as `tag`;
+        with `fold`, merge the group into one composite object first."""
+        i0, m = self._extent(tags)
+        if fold:
+            for _ in range(m - 1):
+                self.state = self.state.merge(i0 + 1).prune()
+        self.tags[i0:i0 + m] = [tag] * (1 if fold else m)
 
     def execute(self):
         for step in self.plan["schedule"]:
@@ -243,48 +237,19 @@ class _Executor:
             elif op == "transit-right":
                 self.transit(True)
             elif op == "add":
-                k = step["pair"]
-                self.run_gadget(
-                    "add",
-                    lambda t, k=k: t == ("pair", k, 0),
-                    lambda t, k=k: t == ("pair", k, 1),
-                )
-                side = step["side"]
-                first = not any(t[0] in ("web", "pairc") and t[1] == side for t in self.labels)
-                if self.comp:
-                    self.merge_group(
-                        lambda t, k=k: t[0] == "pair" and t[1] == k, ("pairc", side, k)
-                    )
-                    if first:
-                        i0, _ = self._extent(lambda t: t == ("pairc", side, k))
-                        self.labels[i0] = ("web", side)
-                else:
-                    for i, t in enumerate(self.labels):
-                        if t[0] == "pair" and t[1] == k:
-                            self.labels[i] = ("web", side, k, t[2])
+                k, web = step["pair"], ("web", step["side"])
+                self.run_gadget("add", ("pair", k, 0), ("pair", k, 1))
+                # the side's first pair starts its web
+                tag = ("pair", k) if web in self.tags else web
+                self.form({("pair", k, 0), ("pair", k, 1)}, tag, fold=self.comp)
             elif op == "integrate":
-                side = step["side"]
-                k = step["pair"]
-                pred2 = (
-                    (lambda t: t == ("pairc", side, k))
-                    if self.comp
-                    else (lambda t: t[0] == "web" and t[1] == side and t[2] == k)
-                )
-                pred1 = (
-                    self._web(side)
-                    if self.comp
-                    else (lambda t: t[0] == "web" and t[1] == side and t[2] < k)
-                )
-                self.run_gadget("integrate", pred1, pred2)
-                if self.comp:
-                    self.merge_group(
-                        lambda t: t == ("pairc", side, k) or t == ("web", side),
-                        ("web", side),
-                    )
+                k, web = step["pair"], ("web", step["side"])
+                self.run_gadget("integrate", web, ("pair", k))
+                self.form({web, ("pair", k)}, web, fold=self.comp)
             elif op == "cross-integrate":
-                self.run_gadget("integrate", self._web("L"), self._web("R"))
+                self.run_gadget("integrate", ("web", "L"), ("web", "R"))
             elif op == "inverse-add":
-                self.run_gadget("inverse", self._web("L"), self._web("R"))
+                self.run_gadget("inverse", ("web", "L"), ("web", "R"))
             else:
                 raise AssertionError(f"unknown op {op}")
             self.state.prune(1e-18)
@@ -300,8 +265,8 @@ class _Executor:
         over the label l between the composites; probabilities add across
         sectors.  Also reports the left marginal P[left composite = 1].
         """
-        self.merge_group(self._web("L"), ("final", "L"))
-        self.merge_group(self._web("R"), ("final", "R"))
+        for side in ("L", "R"):
+            self.form({("web", side)}, ("final", side), fold=True)
         sectors = {}
         marginal = 0.0
         for (ch, p), a in self.state.amps.items():
@@ -502,14 +467,12 @@ def monte_carlo(scheme, n, p, trials, seed, j=None, eps=None):
         if j is None:
             success = left.any(axis=1) & right.any(axis=1)
         else:
-            probs = {k: run["probability"] for k, run in _assignment_runs(n, j).items()}
-            per_trial = np.array(
-                [
-                    probs.get((tuple(int(c) for c in l), tuple(int(c) for c in r)), 0.0)
-                    for l, r in zip(left, right)
-                ]
-            )
-            success = rng.random(trials) < per_trial
+            # success probability by the bit patterns of the two sides
+            bits = 1 << np.arange(n)
+            table = np.zeros((1 << n, 1 << n))
+            for (l, r), run in _assignment_runs(n, j).items():
+                table[bits @ l, bits @ r] = run["probability"]
+            success = rng.random(trials) < table[left @ bits, right @ bits]
     elif scheme == "hierarchical":
         _merge_levels(n)
         if eps is None:

@@ -1,4 +1,4 @@
-"""Arbitrary-precision complex scalars, 2x2 matrices and phase diagonals.
+"""Arbitrary-precision complex scalars and 2x2 matrices.
 
 Everything here is a plain immutable value: no global precision state is
 consulted or mutated.  Scalars carry their own precision in bits and mixed
@@ -6,9 +6,7 @@ expressions are evaluated at the larger of the two operand precisions.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 from mpmath import libmp
@@ -17,7 +15,6 @@ from mpmath.libmp import (
     fone,
     from_float,
     from_int,
-    mpf_abs,
     mpf_add,
     mpf_cmp,
     mpf_cos,
@@ -366,51 +363,4 @@ class Mat2:
 
     def __repr__(self):
         return f"Mat2({self.to_numpy().tolist()} @ {self.precision_bits}b)"
-
-
-class PhaseDiag:
-    """diag(1, e^{i pi n/d}) with the exponent kept as an exact fraction."""
-
-    __slots__ = ("exponent",)
-
-    def __init__(self, numerator, denominator=1):
-        object.__setattr__(self, "exponent", Fraction(numerator, denominator))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhaseDiag is immutable")
-
-    @property
-    def numerator(self):
-        return self.exponent.numerator
-
-    @property
-    def denominator(self):
-        return self.exponent.denominator
-
-    def __mul__(self, other):
-        if not isinstance(other, PhaseDiag):
-            return NotImplemented
-        return PhaseDiag(self.exponent + other.exponent)
-
-    def inverse(self):
-        return PhaseDiag(-self.exponent)
-
-    def __eq__(self, other):
-        if not isinstance(other, PhaseDiag):
-            return NotImplemented
-        return (self.exponent - other.exponent) % 2 == 0
-
-    def __hash__(self):
-        return hash(self.exponent % 2)
-
-    def to_mat2(self, precision_bits=DEFAULT_PRECISION_BITS):
-        one = BigComplex.one(precision_bits)
-        zero = BigComplex.zero(precision_bits)
-        return Mat2(one, zero, zero, exp_i_pi(self.exponent, precision_bits))
-
-    def to_numpy(self):
-        return np.diag([1.0, np.exp(1j * math.pi * float(self.exponent))])
-
-    def __repr__(self):
-        return f"PhaseDiag({self.numerator}/{self.denominator})"
 

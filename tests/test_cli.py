@@ -189,6 +189,21 @@ def test_bad_input_is_one_line_usage_error(argv, capsys):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--word", "m", "--j", "9"],
+        ["cost", "--n", "2", "--j", "9"],
+        ["simulate", "--scheme", "one-mobile", "--n", "1", "--p", "0.5", "--j", "9"],
+        ["simulate", "--scheme", "hierarchical", "--n", "2", "--p", "0.5", "--j", "9"],
+    ],
+)
+def test_order_above_limit_is_usage_error(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "order j must lie in [0, 8]" in err and err.count("\n") == 1
+
+
 def test_simulate_power_of_two_enforced(capsys):
     code, _, err = run(
         ["simulate", "--scheme", "hierarchical", "--n", "3", "--p", "0.5",

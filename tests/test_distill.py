@@ -229,6 +229,20 @@ def test_monte_carlo_gadget_level():
     mc = distill.monte_carlo("one-mobile", 1, 0.5, 20000, 11, j=1)
     se = np.sqrt(exact * (1 - exact) / mc["trials"])
     assert abs(mc["estimate"] - exact) < 4 * se
+    # the bit-pattern table gives each trial the probability of its own
+    # assignment: the same count as a per-trial lookup on the same stream
+    # (at j = 0 the assignments' probabilities differ by up to a factor 2.6)
+    n, p, trials, seed = 2, 0.3, 2000, 5
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    left = rng.random((trials, n)) < p
+    right = rng.random((trials, n)) < p
+    runs = distill._assignment_runs(n, 0)
+    per_trial = [
+        runs[key]["probability"] if key in runs else 0.0
+        for key in ((tuple(map(int, l)), tuple(map(int, r))) for l, r in zip(left, right))
+    ]
+    expected = int((rng.random(trials) < np.array(per_trial)).sum())
+    assert distill.monte_carlo("one-mobile", n, p, trials, seed, j=0)["successes"] == expected
 
 
 def test_monte_carlo_rejects_bad_layout():

@@ -1,5 +1,5 @@
-"""Tests for the self-contained precision layer: scalars, 2x2 matrices
-and phase diagonals."""
+"""Tests for the self-contained precision layer: scalars and 2x2
+matrices."""
 from __future__ import annotations
 
 import math
@@ -15,7 +15,6 @@ from fibweave.numerics import (
     MIN_PRECISION_BITS,
     BigComplex,
     Mat2,
-    PhaseDiag,
     big_pi,
     big_sqrt,
     exp_i_pi,
@@ -131,7 +130,7 @@ def test_mat2_product_with_zeros_is_bitwise_full_sum():
     u = Mat2(*(exp_i_pi(Fraction(k, 7), 256) for k in (1, 2, 3, 4)))
     zero = BigComplex.zero(512)
     for d in (
-        PhaseDiag(3, 5).to_mat2(256),
+        Mat2(BigComplex.one(256), *[BigComplex.zero(256)] * 2, exp_i_pi(Fraction(3, 5), 256)),
         Mat2(zero, exp_i_pi(Fraction(1, 3), 256), exp_i_pi(Fraction(2, 3), 256), zero),
         Mat2(zero, zero, zero, zero),
     ):
@@ -157,24 +156,6 @@ def test_mat2_unitarity_check():
     bad = Mat2.from_rows([[1, 0], [0, 2]], 256)
     assert not bad.is_unitary()
     assert float(BigComplex(bad.unitarity_defect())) == pytest.approx(3.0)
-
-
-def test_phase_diag_group_law():
-    a = PhaseDiag(1, 5)
-    b = PhaseDiag(3, 5)
-    assert (a * b).exponent == Fraction(4, 5)
-    assert (a * a.inverse()).exponent == 0
-    # equality is modulo a full turn
-    assert PhaseDiag(7, 5) == PhaseDiag(-3, 5)
-    assert hash(PhaseDiag(7, 5)) == hash(PhaseDiag(-3, 5))
-    assert PhaseDiag(1, 5) != PhaseDiag(2, 5)
-
-
-def test_phase_diag_matrices_agree():
-    p = PhaseDiag(3, 5)
-    np.testing.assert_allclose(p.to_numpy(), p.to_mat2(128).to_numpy(), atol=1e-15)
-    top_left = p.to_mat2(128).a00
-    assert top_left == 1
 
 
 def test_default_precision_value():

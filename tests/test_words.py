@@ -43,6 +43,15 @@ def test_negative_order_rejected():
         words.generator_word(-1)
 
 
+def test_order_above_limit_rejected():
+    # order 9 would build millions of tokens before failing for memory
+    assert words.MAX_ORDER == 8
+    for build in (words.m_word, words.n_word, words.generator_word, words.word_permutation):
+        with pytest.raises(ValueError, match=r"order j must lie in \[0, 8\], got 9"):
+            build(9)
+    assert words.word_permutation(8) == words.SWAP_23  # the limit itself is built
+
+
 def test_elementary_braid_counts():
     s_counts = [
         words.word_metrics(words.m_word(j, words.SEED_S))["elementary_braid_count"]
