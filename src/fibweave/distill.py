@@ -24,6 +24,8 @@ feeds the other.
 
 Closed-form success floors for perfect gadgets are returned as exact
 rationals; gadget-level probabilities come from the simulation routes.
+Charge-0 pairs are vacuum, so gadget-level success depends only on the
+nontrivial-pair count of each side: one composite run per count class.
 """
 from __future__ import annotations
 
@@ -46,9 +48,6 @@ from .weave import (
 from .words import SEED_WEAVE, generator_braid_count, generator_word, m_word, n_word
 
 MAX_PROTOCOL_ANYONS = 18
-#: pairs per side up to which gadget-level success is enumerated over all
-#: pair-charge assignments (up to 225 composite runs)
-MAX_ENUMERATED_PAIRS = 4
 
 
 class PlanningError(ValueError):
@@ -99,7 +98,8 @@ def plan_one_mobile(n_left, n_right, j, jN=None):
     total_anyons = 2 * (n_left + n_right) + 2
     if total_anyons > MAX_PROTOCOL_ANYONS:
         raise PlanningError(
-            f"{total_anyons} anyons exceeds the protocol limit of {MAX_PROTOCOL_ANYONS}"
+            f"{n_left} pairs left and {n_right} right need {total_anyons} anyons, "
+            f"over the protocol limit of {MAX_PROTOCOL_ANYONS}"
         )
     if j < 0:
         raise PlanningError(f"gadget order j must be >= 0, got {j}")
@@ -382,46 +382,37 @@ def one_mobile_assignment_success(assign_left, assign_right, j, jN=None):
     ]
 
 
-def _assignments(n):
-    out = [()]
-    for _ in range(n):
-        out = [a + (c,) for a in out for c in (0, 1)]
-    return out
-
-
-def _assignment_runs(n, j):
-    """Composite-route result of every pair-charge assignment (left, right)
-    over n pairs per side that holds a nontrivial pair on both sides; every
-    other assignment fails outright and is absent."""
-    if n > MAX_ENUMERATED_PAIRS:
-        raise PlanningError(
-            "gadget-level enumeration is supported for at most "
-            f"{MAX_ENUMERATED_PAIRS} pairs per side"
-        )
-    sides = [a for a in _assignments(n) if any(a)]
+def _class_runs(n, j):
+    """Composite-route result per nontrivial-pair count class (k_L, k_R),
+    1 <= k_L, k_R <= n: charge-0 pairs are vacuum and act trivially, and a
+    side without a nontrivial pair fails outright.  The (n, n) layout is
+    planned first, so an over-limit n fails before any run."""
+    plan_one_mobile(n, n, j)
     return {
-        (left, right): run_end_to_end(left, right, j, route="composite")
-        for left in sides
-        for right in sides
+        (kl, kr): run_end_to_end((1,) * kl, (1,) * kr, j, route="composite")
+        for kl in range(1, n + 1)
+        for kr in range(1, n + 1)
     }
 
 
-def _exact(scheme, n, p, j, eps):
-    """exact_success together with the composite runs it aggregated
-    (empty unless the one-mobile scheme has a gadget order)."""
+def _check_query(scheme, n, p, eps):
     _check_pairs(n)
     _check_rates(p=p, eps=eps)
+    if scheme == "one-mobile" and eps is not None:
+        raise ValueError("eps applies to the hierarchical scheme only, not to one-mobile")
+
+
+def _exact(scheme, n, p, j, eps):
+    """exact_success together with the class runs it aggregated
+    (empty unless the one-mobile scheme has a gadget order)."""
+    _check_query(scheme, n, p, eps)
     if scheme == "one-mobile":
         if j is None:
             return one_mobile_floor(n, p), {}
-        runs = _assignment_runs(n, j)
+        runs = _class_runs(n, j)
         p = float(p)
-        total = 0.0
-        for (left, right), run in runs.items():
-            weight = 1.0
-            for c in left + right:
-                weight *= p if c else 1 - p
-            total += weight * run["probability"]
+        pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+        total = sum(pmf[kl] * pmf[kr] * run["probability"] for (kl, kr), run in runs.items())
         return total, runs
     if scheme == "hierarchical":
         if eps is None:
@@ -434,9 +425,10 @@ def exact_success(scheme, n, p, j=None, eps=None):
     """Exact success probability of a scheme over n pairs per side.
 
     With no gadget order (perfect gadgets) the closed forms are returned
-    as exact rationals.  With a gadget order j, the one-mobile scheme is
-    aggregated over all pair-charge assignments with the per-assignment
-    probabilities simulated on the composite route; the hierarchical
+    as exact rationals.  With a gadget order j, the one-mobile scheme sums
+    binomial weights over the n^2 nontrivial-pair count classes (k_L, k_R),
+    each simulated once on the composite route, up to the protocol's
+    18 anyons (4 pairs per side); it refuses eps.  The hierarchical
     recursion takes the order-j residual as its merge failure rate unless
     eps is given explicitly.
     """
@@ -453,8 +445,7 @@ def monte_carlo(scheme, n, p, trials, seed, j=None, eps=None):
     Returns estimate, standard error and the raw success count.  The
     stream is fully determined by the seed.
     """
-    _check_pairs(n)
-    _check_rates(p=p, eps=eps)
+    _check_query(scheme, n, p, eps)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
@@ -462,17 +453,20 @@ def monte_carlo(scheme, n, p, trials, seed, j=None, eps=None):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     p = float(p)
     if scheme == "one-mobile":
+        if j is not None:
+            # success probability by the nontrivial-pair count of each side,
+            # built before the draws (the runs draw nothing): an over-limit
+            # layout fails before sampling, and the popcount sums below ran
+            # 10x slower right after a run than right after a draw
+            table = np.zeros((n + 1, n + 1))
+            for (kl, kr), run in _class_runs(n, j).items():
+                table[kl, kr] = run["probability"]
         left = rng.random((trials, n)) < p
         right = rng.random((trials, n)) < p
         if j is None:
             success = left.any(axis=1) & right.any(axis=1)
         else:
-            # success probability by the bit patterns of the two sides
-            bits = 1 << np.arange(n)
-            table = np.zeros((1 << n, 1 << n))
-            for (l, r), run in _assignment_runs(n, j).items():
-                table[bits @ l, bits @ r] = run["probability"]
-            success = rng.random(trials) < table[left @ bits, right @ bits]
+            success = rng.random(trials) < table[left.sum(axis=1), right.sum(axis=1)]
     elif scheme == "hierarchical":
         _merge_levels(n)
         if eps is None:
@@ -577,7 +571,7 @@ def simulate_report(scheme, n, p, trials=0, seed=None, j=None, eps=None):
         mc = monte_carlo(scheme, n, float(p_frac), trials, seed or 0, j=j, eps=eps)
         sampled, std_error = mc["estimate"], mc["std_error"]
     if runs:
-        full = runs[(1,) * n, (1,) * n]
+        full = runs[n, n]
         counts = {"gadget": full["add_exchanges"], "total": full["exchanges"]}
     elif scheme == "hierarchical" and j is not None:
         cost = braid_cost(n, j)

@@ -181,6 +181,9 @@ def test_simulate_flag_validation(capsys):
         ["simulate", "--scheme", "one-mobile", "--n", "2", "--p", "0.5",
          "--perfect-gadgets", "--trials", "-5"],
         ["chain-run", "/nonexistent/program.txt"],
+        ["simulate", "--scheme", "one-mobile", "--n", "2", "--p", "0.3", "--eps", "0.1"],
+        ["simulate", "--scheme", "one-mobile", "--n", "2", "--p", "0.3", "--j", "1",
+         "--eps", "0.5"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, capsys):
@@ -212,6 +215,16 @@ def test_simulate_power_of_two_enforced(capsys):
     )
     assert code == 3
     assert "power-of-two" in err
+
+
+def test_simulate_over_layout_limit_is_planning_error(capsys):
+    code, out, err = run(
+        ["simulate", "--scheme", "one-mobile", "--n", "5", "--p", "0.3", "--j", "1"],
+        capsys,
+    )
+    assert code == 3
+    assert out == "" and "Traceback" not in err and err.count("\n") == 1
+    assert "22 anyons" in err
 
 
 def test_cost_csv(capsys):

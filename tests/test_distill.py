@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibweave import distill
 from fibweave.chain import Chain
@@ -22,6 +24,32 @@ JOINT_N1 = {
     1: 0.999781690122910,
     2: 0.999994039138843,
 }
+
+
+@lru_cache(maxsize=None)
+def assignment_runs(n, j):
+    """Oracle: the composite-route probability of every pair-charge
+    assignment with a nontrivial pair on both sides, (2^n - 1)^2 runs."""
+    sides = [
+        tuple((a >> i) & 1 for i in range(n)) for a in range(1, 1 << n)
+    ]
+    return {
+        (left, right): distill.run_end_to_end(left, right, j, route="composite")[
+            "probability"
+        ]
+        for left in sides
+        for right in sides
+    }
+
+
+def enumerated_success(n, p, j):
+    total = 0.0
+    for (left, right), prob in assignment_runs(n, j).items():
+        weight = 1.0
+        for c in left + right:
+            weight *= p if c else 1 - p
+        total += weight * prob
+    return total
 
 
 def test_plan_schedule_layout():
@@ -168,6 +196,14 @@ def test_input_validation():
         distill.monte_carlo("one-mobile", 2, 0.5, 10, -1)
     with pytest.raises(ValueError, match="trials"):
         distill.monte_carlo("one-mobile", 2, 0.5, 0, 0)
+    # the one-mobile scheme takes its gadget errors from j, never from eps
+    for j in (None, 1):
+        with pytest.raises(ValueError, match="eps applies to the hierarchical"):
+            distill.exact_success("one-mobile", 2, 0.3, j=j, eps=0.1)
+        with pytest.raises(ValueError, match="eps applies to the hierarchical"):
+            distill.monte_carlo("one-mobile", 2, 0.3, 10, 0, j=j, eps=0.1)
+        with pytest.raises(ValueError, match="eps applies to the hierarchical"):
+            distill.simulate_report("one-mobile", 2, 0.3, j=j, eps=0.5)
 
 
 def test_closed_form_floors_exact():
@@ -185,17 +221,57 @@ def test_epsilon_prob():
     assert e["probability"] == pytest.approx(TAU_F**-20)
 
 
-def test_exact_success_aggregates_assignments():
+def test_exact_success_aggregates_assignments(monkeypatch):
     v = distill.exact_success("one-mobile", 2, 0.3, j=1)
     assert v == pytest.approx(0.2600487378730658, abs=1e-12)
     # sits just below the perfect-gadget floor, also at three pairs per side
     assert v < float(distill.one_mobile_floor(2, Fraction(3, 10)))
     v3 = distill.exact_success("one-mobile", 3, 0.3, j=1)
     assert v < v3 < float(distill.one_mobile_floor(3, Fraction(3, 10)))
-    with pytest.raises(PlanningError):
-        distill.exact_success("one-mobile", 5, 0.3, j=1)
     with pytest.raises(ValueError):
         distill.exact_success("nope", 2, 0.3)
+    # five pairs per side are over the 18-anyon limit: refused before any run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the layout was checked")
+
+    monkeypatch.setattr(distill, "run_end_to_end", no_run)
+    with pytest.raises(PlanningError, match="5 pairs left and 5 right need 22 anyons"):
+        distill.exact_success("one-mobile", 5, 0.3, j=1)
+    with pytest.raises(PlanningError, match="22 anyons"):
+        distill.monte_carlo("one-mobile", 5, 0.3, 10, 0, j=1)
+
+
+@pytest.mark.parametrize(
+    "n, j, bound",
+    [(n, j, 1e-14) for n in (1, 2, 3) for j in (0, 1, 2)]
+    # 225 assignment runs against 16 class runs
+    + [(4, 0, 1e-14)]
+    # at j = 3, 1 - P is about 1e-13 in doubles, pure rounding (the exact
+    # failure is near tau^-500): runs of different assignments in one
+    # class round differently, so the bound is the rounding scale
+    + [(1, 3, 2e-13), (2, 3, 2e-13)],
+)
+def test_exact_success_matches_enumeration(n, j, bound):
+    for p in (0.05, 0.3, 0.7):
+        assert abs(distill.exact_success("one-mobile", n, p, j=j)
+                   - enumerated_success(n, p, j)) <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    left=st.lists(st.integers(0, 1), min_size=1, max_size=3),
+    right=st.lists(st.integers(0, 1), min_size=1, max_size=3),
+    j=st.integers(0, 2),
+)
+def test_charge_zero_pairs_act_trivially(left, right, j):
+    """A random assignment succeeds exactly as its count class does."""
+    got = distill.run_end_to_end(left, right, j, route="composite")["probability"]
+    kl, kr = sum(left), sum(right)
+    if kl == 0 or kr == 0:
+        assert got == 0.0
+    else:
+        want = distill.run_end_to_end((1,) * kl, (1,) * kr, j, route="composite")
+        assert abs(got - want["probability"]) <= 1e-14
 
 
 def test_exact_success_perfect_closed_forms():
@@ -229,16 +305,17 @@ def test_monte_carlo_gadget_level():
     mc = distill.monte_carlo("one-mobile", 1, 0.5, 20000, 11, j=1)
     se = np.sqrt(exact * (1 - exact) / mc["trials"])
     assert abs(mc["estimate"] - exact) < 4 * se
-    # the bit-pattern table gives each trial the probability of its own
-    # assignment: the same count as a per-trial lookup on the same stream
-    # (at j = 0 the assignments' probabilities differ by up to a factor 2.6)
+    # the count-class table gives each trial the probability of its own
+    # assignment: the same count as a per-trial lookup of the enumeration
+    # oracle on the same stream (at j = 0 the classes' probabilities differ
+    # by up to a factor 2.6)
     n, p, trials, seed = 2, 0.3, 2000, 5
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     left = rng.random((trials, n)) < p
     right = rng.random((trials, n)) < p
-    runs = distill._assignment_runs(n, 0)
+    runs = assignment_runs(n, 0)
     per_trial = [
-        runs[key]["probability"] if key in runs else 0.0
+        runs.get(key, 0.0)
         for key in ((tuple(map(int, l)), tuple(map(int, r))) for l, r in zip(left, right))
     ]
     expected = int((rng.random(trials) < np.array(per_trial)).sum())
