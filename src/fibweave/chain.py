@@ -22,8 +22,15 @@ import numpy as np
 
 from .model import F_NP, R_NP, fuse
 
-_R00 = R_NP[0, 0]
-_R11 = R_NP[1, 1]
+
+def _exchange_data(r):
+    """R00, R11 and the columns of F R F for one handedness, as Python complex."""
+    frf = F_NP @ r @ F_NP
+    return complex(r[0, 0]), complex(r[1, 1]), tuple(tuple(map(complex, col)) for col in frf.T)
+
+
+_CCW = _exchange_data(R_NP)
+_CW = _exchange_data(np.conj(R_NP))
 
 
 def root(descriptor):
@@ -86,33 +93,29 @@ class Chain:
         both nontrivial: phase R00 or R11 when an ambient label is vacuum,
         else the recoupled 2x2 block F R F on the middle label.
         """
+        r00, r11, frf = _CCW if ccw else _CW
         out = {}
-        sb = F_NP @ (R_NP if ccw else np.conj(R_NP)) @ F_NP
-        r00 = _R00 if ccw else np.conj(_R00)
-        r11 = _R11 if ccw else np.conj(_R11)
+        get = out.get
+        swapped = {}  # ch -> (swapped descriptors, root i, root i+1)
         for (ch, p), a in self.amps.items():
-            di, dj = ch[i - 1], ch[i]
-            ci, cj = root(di), root(dj)
-            nch = ch[:i - 1] + (dj, di) + ch[i + 1:]
+            sw = swapped.get(ch)
+            if sw is None:
+                di, dj = ch[i - 1], ch[i]
+                sw = swapped[ch] = (ch[:i - 1] + (dj, di) + ch[i + 1:], root(di), root(dj))
+            nch, ci, cj = sw
             if ci == 0 or cj == 0:
-                l = list(p)
-                l[i] = p[i + 1] if ci == 0 else p[i - 1]
-                k = (nch, tuple(l))
-                out[k] = out.get(k, 0) + a
+                k = (nch, p[:i] + (p[i + 1] if ci == 0 else p[i - 1],) + p[i + 1:])
+                out[k] = get(k, 0) + a
+            elif p[i - 1] == 0 or p[i + 1] == 0:  # R00 if both are vacuum
+                k = (nch, p)
+                out[k] = get(k, 0) + a * (r00 if p[i - 1] == p[i + 1] else r11)
             else:
-                amb = (p[i - 1], p[i + 1])
-                if amb == (0, 0):
-                    k = (nch, p)
-                    out[k] = out.get(k, 0) + a * r00
-                elif amb in ((0, 1), (1, 0)):
-                    k = (nch, p)
-                    out[k] = out.get(k, 0) + a * r11
-                else:
-                    for mid in (0, 1):
-                        l = list(p)
-                        l[i] = mid
-                        k = (nch, tuple(l))
-                        out[k] = out.get(k, 0) + sb[mid, p[i]] * a
+                head, tail = p[:i], p[i + 1:]
+                c0, c1 = frf[p[i]]
+                k = (nch, head + (0,) + tail)
+                out[k] = get(k, 0) + c0 * a
+                k = (nch, head + (1,) + tail)
+                out[k] = get(k, 0) + c1 * a
         return Chain(out)
 
     def apply_exchanges(self, exchanges):
@@ -152,7 +155,7 @@ class Chain:
             x, lpre, lpost = p[i], p[i - 1], p[i + 1]
             np_ = p[:i] + p[i + 1:]
             if aa == 1 and bb == 1 and lpre == 1 and lpost == 1:
-                gw = [(g, F_NP[x, g]) for g in (0, 1)]
+                gw = [(g, complex(F_NP[x, g])) for g in (0, 1)]
             else:
                 gw = [
                     (g, 1.0)

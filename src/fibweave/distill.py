@@ -151,7 +151,7 @@ def init_protocol_state(assign_charges):
             else:
                 # vacuum pair inside ambient charge 1: superposed channels
                 for x in (0, 1):
-                    new[(ch + (1, 1), p + (x, 1))] = a * F_NP[x, 0]
+                    new[(ch + (1, 1), p + (x, 1))] = a * complex(F_NP[x, 0])
         states = new
     return Chain({(ch + (1,), p + (0,)): a for (ch, p), a in states.items()})
 
@@ -395,11 +395,15 @@ def _class_runs(n, j):
     }
 
 
-def _check_query(scheme, n, p, eps):
+def _check_query(scheme, n, p, eps, trials=1, seed=0):
     _check_pairs(n)
     _check_rates(p=p, eps=eps)
     if scheme == "one-mobile" and eps is not None:
         raise ValueError("eps applies to the hierarchical scheme only, not to one-mobile")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
 
 
 def _exact(scheme, n, p, j, eps):
@@ -445,21 +449,22 @@ def monte_carlo(scheme, n, p, trials, seed, j=None, eps=None):
     Returns estimate, standard error and the raw success count.  The
     stream is fully determined by the seed.
     """
-    _check_query(scheme, n, p, eps)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    _check_query(scheme, n, p, eps, trials, seed)
+    runs = _class_runs(n, j) if scheme == "one-mobile" and j is not None else {}
+    return _sample(scheme, n, p, trials, seed, j, eps, runs)
+
+
+def _sample(scheme, n, p, trials, seed, j, eps, runs):
+    """monte_carlo on checked input and its class runs (empty if unused)."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     p = float(p)
     if scheme == "one-mobile":
         if j is not None:
             # success probability by the nontrivial-pair count of each side,
-            # built before the draws (the runs draw nothing): an over-limit
-            # layout fails before sampling, and the popcount sums below ran
-            # 10x slower right after a run than right after a draw
+            # from class runs made before any draw: an over-limit layout
+            # fails before sampling
             table = np.zeros((n + 1, n + 1))
-            for (kl, kr), run in _class_runs(n, j).items():
+            for (kl, kr), run in runs.items():
                 table[kl, kr] = run["probability"]
         left = rng.random((trials, n)) < p
         right = rng.random((trials, n)) < p
@@ -565,11 +570,11 @@ class DistillReport:
 def simulate_report(scheme, n, p, trials=0, seed=None, j=None, eps=None):
     """Exact value plus optional sampling, bundled for serialization."""
     p_frac = p if isinstance(p, Fraction) else Fraction(str(p))
-    exact, runs = _exact(scheme, n, p_frac, j, eps)
-    sampled = std_error = None
     if trials:
-        mc = monte_carlo(scheme, n, float(p_frac), trials, seed or 0, j=j, eps=eps)
-        sampled, std_error = mc["estimate"], mc["std_error"]
+        seed = 0 if seed is None else seed
+        _check_query(scheme, n, p_frac, eps, trials, seed)
+    exact, runs = _exact(scheme, n, p_frac, j, eps)
+    mc = _sample(scheme, n, p_frac, trials, seed, j, eps, runs) if trials else {}
     if runs:
         full = runs[n, n]
         counts = {"gadget": full["add_exchanges"], "total": full["exchanges"]}
@@ -584,8 +589,8 @@ def simulate_report(scheme, n, p, trials=0, seed=None, j=None, eps=None):
         j=j,
         p=float(p_frac),
         exact_probability=float(exact),
-        sampled_probability=sampled,
-        std_error=std_error,
+        sampled_probability=mc.get("estimate"),
+        std_error=mc.get("std_error"),
         braid_counts=counts,
         seed=seed,
     )
