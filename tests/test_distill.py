@@ -363,6 +363,36 @@ def test_report_serialization():
     assert list(payload) == sorted(payload)
 
 
+def test_report_samples_each_class_once(monkeypatch):
+    # sampling reuses the class runs of the exact sum: n^2 runs, not 2 n^2,
+    # and the same successes as monte_carlo on the same Philox stream
+    n, p, trials, seed, j = 3, 0.4, 4000, 12, 1
+    calls = []
+    run = distill.run_end_to_end
+    monkeypatch.setattr(distill, "run_end_to_end", lambda *a, **k: calls.append(a) or run(*a, **k))
+    rep = distill.simulate_report("one-mobile", n, p, trials=trials, seed=seed, j=j)
+    assert len(calls) == n * n
+    mc = distill.monte_carlo("one-mobile", n, p, trials, seed, j=j)
+    assert rep.sampled_probability == mc["estimate"] == mc["successes"] / trials
+    assert rep.std_error == mc["std_error"]
+    # bad sampling input fails before any run
+    calls.clear()
+    for bad in ({"trials": -1}, {"trials": 10, "seed": -1}):
+        with pytest.raises(ValueError):
+            distill.simulate_report("one-mobile", n, p, j=j, **bad)
+    assert calls == []
+
+
+def test_report_records_sampling_seed():
+    # the stored seed reruns the report; None only when nothing was sampled
+    rep = distill.simulate_report("one-mobile", 2, 0.3, trials=300, j=0)
+    assert rep.seed == 0
+    again = distill.simulate_report("one-mobile", 2, 0.3, trials=300, seed=rep.seed, j=0)
+    assert again.to_json() == rep.to_json()
+    assert distill.simulate_report("hierarchical", 4, 0.5, trials=300).seed == 0
+    assert distill.simulate_report("one-mobile", 2, 0.3, j=0).seed is None
+
+
 def test_report_perfect_gadgets():
     rep = distill.simulate_report("hierarchical", 4, 0.5)
     assert rep.exact_probability == pytest.approx(15 / 16)
