@@ -124,7 +124,9 @@ def test_braid_kernel_matches_reference_kernel():
     # bare random states, on states mixing bare charges with nested
     # composites, and on states holding several descriptor tuples at once
     rng = np.random.default_rng(17)
-    states = [_random_state(rng, [int(c) for c in rng.integers(0, 2, size=n)]) for n in range(2, 9)]
+    states = [
+        _random_state(rng, [int(c) for c in rng.integers(0, 2, size=n)]) for n in range(2, 9)
+    ]
     states.append(_random_state(rng, [1] * 8))
     mixed = _random_state(rng, [1, 0, 1, 1, 1, 0, 1, 1]).braid_adjacent(4).braid_adjacent(3)
     mixed = mixed.merge(3).merge(2).merge(5)  # nested composites of root 0 and 1
@@ -141,7 +143,8 @@ def test_braid_kernel_matches_reference_kernel():
         for amps in (st.amps, {k: complex(a) for k, a in st.amps.items()}):
             for i in range(1, n):
                 for ccw in (True, False):
-                    assert Chain(amps).braid_adjacent(i, ccw).amps == _reference_braid(amps, i, ccw)
+                    got = Chain(amps).braid_adjacent(i, ccw).amps
+                    assert got == _reference_braid(amps, i, ccw)
 
 
 def test_trivial_charge_transparency_exact():
