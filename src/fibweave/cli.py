@@ -47,12 +47,8 @@ def _cmd_compile(args):
         word = words.m_word(args.j, seed)
         default_start = ("Nested", "D")
     else:
-        if args.j % 2 != 0:
-            raise distill.PlanningError(
-                "integration gadgets exist only at even order: "
-                f"an order-{args.j} word ends in the wrong machine state"
-            )
-        word = words.n_word(args.j)
+        word = words.n_word(args.j)  # refuses an out-of-range order first
+        distill.require_even_order(args.j)
         default_start = ("Pair", "D")
     start = weave._parse_state(args.start) if args.start else default_start
     program = weave.compile_weave(word, start)

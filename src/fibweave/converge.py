@@ -10,22 +10,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from . import numerics
-from .numerics import BigComplex, Mat2
+from .numerics import Mat2, phase_diag
 
 UNITARITY_TOL = 1e-10
-
-
-@lru_cache(maxsize=64)
-def _phase_mat2(frac, bits):
-    """diag(1, e^{i pi frac}) at `bits`, built once: Mat2 is immutable."""
-    zero = BigComplex.zero(bits)
-    # exp_i_pi is looked up on its module, where a timing wrapper may sit
-    return Mat2(BigComplex.one(bits), zero, zero, numerics.exp_i_pi(frac, bits))
 
 
 def _prepare(u):
@@ -35,7 +25,7 @@ def _prepare(u):
         if not u.is_unitary():
             raise ValueError("matrix is not unitary at its carried precision")
         bits = u.precision_bits
-        return u.dagger(), lambda frac: _phase_mat2(Fraction(frac), bits)
+        return u.dagger(), lambda frac: phase_diag(0, Fraction(frac), bits)
     u = np.asarray(u)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")

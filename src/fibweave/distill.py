@@ -62,6 +62,16 @@ def round_up_to_even(j):
     return j if j % 2 == 0 else j + 1
 
 
+def require_even_order(jN):
+    """Refuse an odd integration order: its N-word ends in the wrong
+    machine state."""
+    if jN % 2 != 0:
+        raise PlanningError(
+            "integration gadgets exist only at even order: "
+            f"an order-{jN} word ends in the wrong machine state"
+        )
+
+
 @lru_cache(maxsize=16)
 def _gadgets(j, jN):
     """{name: (program, window map)} for the add, integrate and inverse-add
@@ -105,11 +115,7 @@ def plan_one_mobile(n_left, n_right, j, jN=None):
         raise PlanningError(f"gadget order j must be >= 0, got {j}")
     if jN is None:
         jN = round_up_to_even(j)
-    if jN % 2 != 0:
-        raise PlanningError(
-            "integration gadgets exist only at even order: "
-            f"an order-{jN} word ends in the wrong machine state"
-        )
+    require_even_order(jN)
     gadgets = dict(_gadgets(j, jN))
     n = n_left + n_right
     schedule = [{"op": "transit-left", "pair": k} for k in range(n, 1, -1)]

@@ -7,27 +7,27 @@ usual gauge:
     R = diag(e^{-4 pi i/5}, e^{3 pi i/5})
     F = [[1/tau, 1/sqrt(tau)], [1/sqrt(tau), -1/tau]],  tau = (1+sqrt(5))/2
 
-All constants are recomputed from scratch at a requested precision; nothing
-is cached across precisions.
+All constants are computed at a requested precision.  R is the cached
+phase matrix of :func:`fibweave.numerics.phase_diag`, which word
+evaluation shares.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .numerics import (
     DEFAULT_PRECISION_BITS,
-    MIN_PRECISION_BITS,
     BigComplex,
     Mat2,
     big_sqrt,
     exp_i_pi,
+    phase_diag,
 )
 
-VACUUM = 0
 TAU_F = (1.0 + math.sqrt(5.0)) / 2.0
 
 R_NP = np.diag([np.exp(-4j * math.pi / 5), np.exp(3j * math.pi / 5)])
@@ -62,7 +62,6 @@ class FibConstants:
     R: Mat2
     F: Mat2
     S: Mat2
-    frobenius_schur: tuple[int, int] = (1, 1)
 
     def self_check(self):
         """Residuals of the defining identities, reported as floats.
@@ -97,16 +96,10 @@ class FibConstants:
 
 
 def make_constants(precision_bits=DEFAULT_PRECISION_BITS):
-    if precision_bits < MIN_PRECISION_BITS:
-        raise ValueError(
-            f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}"
-        )
     p = precision_bits
-    one = BigComplex.one(p)
-    zero = BigComplex.zero(p)
-    tau = (one + big_sqrt(5, p)) / 2
+    tau = (BigComplex.one(p) + big_sqrt(5, p)) / 2
     omega = exp_i_pi(Fraction(1, 5), p)
-    r = Mat2(exp_i_pi(Fraction(-4, 5), p), zero, zero, exp_i_pi(Fraction(3, 5), p))
+    r = phase_diag(Fraction(-4, 5), Fraction(3, 5), p)
     rt = 1 / big_sqrt(tau)
     f = Mat2(1 / tau, rt, rt, -(1 / tau))
     return FibConstants(

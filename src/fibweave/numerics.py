@@ -1,12 +1,14 @@
 """Arbitrary-precision complex scalars and 2x2 matrices.
 
 Everything here is a plain immutable value: no global precision state is
-consulted or mutated.  Scalars carry their own precision in bits and mixed
-expressions are evaluated at the larger of the two operand precisions.
+consulted or mutated.  Scalars carry their own precision in bits; mixed
+expressions run mpmath's complex kernels at the larger of the two operand
+precisions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from mpmath import libmp
@@ -15,19 +17,18 @@ from mpmath.libmp import (
     fone,
     from_float,
     from_int,
-    mpf_add,
+    from_rational,
+    mpc_abs,
+    mpc_add,
+    mpc_div,
+    mpc_mul,
+    mpc_sub,
     mpf_cmp,
-    mpf_cos,
-    mpf_div,
+    mpf_cos_sin_pi,
     mpf_hash,
-    mpf_hypot,
-    mpf_mul,
     mpf_neg,
-    mpf_pi,
     mpf_shift,
-    mpf_sin,
     mpf_sqrt,
-    mpf_sub,
     to_float,
 )
 
@@ -35,6 +36,21 @@ _RND = libmp.round_nearest
 
 MIN_PRECISION_BITS = 53
 DEFAULT_PRECISION_BITS = 256
+
+
+def _operator(kernel, reflected=False):
+    """A BigComplex binary operator: the mpc kernel at the larger operand
+    precision, with the operands swapped for a reflected (__r*__) form."""
+
+    def op(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = (other, self) if reflected else (self, other)
+        p = max(a.precision_bits, b.precision_bits)
+        return BigComplex(*kernel((a.re, a.im), (b.re, b.im), p, _RND), p)
+
+    return op
 
 
 class BigComplex:
@@ -89,7 +105,7 @@ class BigComplex:
 
     def mag(self):
         """|z| as a raw mpf tuple at this value's precision."""
-        return mpf_hypot(self.re, self.im, self.precision_bits, _RND)
+        return mpc_abs((self.re, self.im), self.precision_bits, _RND)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -104,77 +120,10 @@ class BigComplex:
             return BigComplex.from_complex(other, self.precision_bits)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = max(self.precision_bits, other.precision_bits)
-        return BigComplex(
-            mpf_add(self.re, other.re, p, _RND),
-            mpf_add(self.im, other.im, p, _RND),
-            p,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = max(self.precision_bits, other.precision_bits)
-        return BigComplex(
-            mpf_sub(self.re, other.re, p, _RND),
-            mpf_sub(self.im, other.im, p, _RND),
-            p,
-        )
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = max(self.precision_bits, other.precision_bits)
-        w = p + 10
-        ac = mpf_mul(self.re, other.re, w, _RND)
-        bd = mpf_mul(self.im, other.im, w, _RND)
-        ad = mpf_mul(self.re, other.im, w, _RND)
-        bc = mpf_mul(self.im, other.re, w, _RND)
-        return BigComplex(mpf_sub(ac, bd, p, _RND), mpf_add(ad, bc, p, _RND), p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = max(self.precision_bits, other.precision_bits)
-        w = p + 10
-        den = mpf_add(
-            mpf_mul(other.re, other.re, w, _RND),
-            mpf_mul(other.im, other.im, w, _RND),
-            w,
-            _RND,
-        )
-        ac = mpf_mul(self.re, other.re, w, _RND)
-        bd = mpf_mul(self.im, other.im, w, _RND)
-        bc = mpf_mul(self.im, other.re, w, _RND)
-        ad = mpf_mul(self.re, other.im, w, _RND)
-        return BigComplex(
-            mpf_div(mpf_add(ac, bd, w, _RND), den, p, _RND),
-            mpf_div(mpf_sub(bc, ad, w, _RND), den, p, _RND),
-            p,
-        )
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+    __add__ = __radd__ = _operator(mpc_add)
+    __sub__, __rsub__ = _operator(mpc_sub), _operator(mpc_sub, reflected=True)
+    __mul__ = __rmul__ = _operator(mpc_mul)
+    __truediv__, __rtruediv__ = _operator(mpc_div), _operator(mpc_div, reflected=True)
 
     def __neg__(self):
         return BigComplex(mpf_neg(self.re), mpf_neg(self.im), self.precision_bits)
@@ -202,10 +151,6 @@ class BigComplex:
         return f"BigComplex({self.to_complex()!r} @ {self.precision_bits}b)"
 
 
-def big_pi(precision_bits=DEFAULT_PRECISION_BITS):
-    return BigComplex(mpf_pi(precision_bits + 10), fzero, precision_bits)
-
-
 def big_sqrt(x, precision_bits=DEFAULT_PRECISION_BITS):
     """Square root of a nonnegative real (int, float or real BigComplex)."""
     if isinstance(x, BigComplex):
@@ -218,20 +163,19 @@ def big_sqrt(x, precision_bits=DEFAULT_PRECISION_BITS):
 
 
 def exp_i_pi(frac, precision_bits=DEFAULT_PRECISION_BITS):
-    """e^{i pi * frac} for a rational (or float) multiple of pi."""
+    """e^{i pi * frac} for a rational (or float) multiple of pi; exact
+    where frac is a multiple of 1/2."""
     frac = Fraction(frac).limit_denominator(10**12) if not isinstance(frac, Fraction) else frac
-    w = precision_bits + 20
-    theta = mpf_mul(
-        mpf_div(from_int(frac.numerator), from_int(frac.denominator), w, _RND),
-        mpf_pi(w),
-        w,
-        _RND,
-    )
-    return BigComplex(
-        mpf_cos(theta, precision_bits, _RND),
-        mpf_sin(theta, precision_bits, _RND),
-        precision_bits,
-    )
+    x = from_rational(frac.numerator, frac.denominator, precision_bits + 20, _RND)
+    return BigComplex(*mpf_cos_sin_pi(x, precision_bits, _RND), precision_bits)
+
+
+@lru_cache(maxsize=256)
+def phase_diag(f0, f1, precision_bits):
+    """diag(e^{i pi f0}, e^{i pi f1}), built once per precision: Mat2 is
+    immutable, so every caller can share it."""
+    zero = BigComplex.zero(precision_bits)
+    return Mat2(exp_i_pi(f0, precision_bits), zero, zero, exp_i_pi(f1, precision_bits))
 
 
 def _dot(x, y, z, w):
@@ -269,9 +213,7 @@ class Mat2:
 
     @classmethod
     def identity(cls, precision_bits=DEFAULT_PRECISION_BITS):
-        one = BigComplex.one(precision_bits)
-        zero = BigComplex.zero(precision_bits)
-        return cls(one, zero, zero, one)
+        return phase_diag(0, 0, precision_bits)
 
     @property
     def precision_bits(self):
@@ -327,12 +269,6 @@ class Mat2:
             self.a01.conjugate(),
             self.a11.conjugate(),
         )
-
-    def trace(self):
-        return self.a00 + self.a11
-
-    def det(self):
-        return self.a00 * self.a11 - self.a01 * self.a10
 
     def to_numpy(self):
         return np.array(

@@ -23,7 +23,8 @@ from operator import add
 import numpy as np
 
 from .model import F_NP, R_NP
-from .numerics import Mat2, exp_i_pi
+from .numerics import Mat2, phase_diag
+from .numerics import exp_i_pi  # noqa: F401 -- unused, but benchmarks/spans.py patches this name
 
 M_EXPONENTS = (-1, 3, -3, 1)
 N_EXPONENTS = (1, 3, 3, 1)
@@ -72,16 +73,6 @@ def n_word(j):
     return _recursion(SEED_N, j, _r_tokens(N_EXPONENTS), dagger, add)
 
 
-def _r_power_big(alpha, precision_bits):
-    zero = Mat2.identity(precision_bits).a01
-    return Mat2(
-        exp_i_pi(Fraction(-4 * alpha, 5), precision_bits),
-        zero,
-        zero,
-        exp_i_pi(Fraction(3 * alpha, 5), precision_bits),
-    )
-
-
 def evaluate(word, constants=None):
     """Multiply the word out; numpy doubles by default, Mat2 with constants."""
     if constants is None:
@@ -89,9 +80,13 @@ def evaluate(word, constants=None):
         for t in word:
             m = m @ (F_NP if t[0] == "F" else np.linalg.matrix_power(R_NP, t[1]))
         return m
-    m = Mat2.identity(constants.precision_bits)
+    bits = constants.precision_bits
+    m = Mat2.identity(bits)
     for t in word:
-        m = m @ (constants.F if t[0] == "F" else _r_power_big(t[1], constants.precision_bits))
+        if t[0] == "F":
+            m = m @ constants.F
+        else:  # R^alpha = diag(e^{-4 pi i alpha/5}, e^{3 pi i alpha/5})
+            m = m @ phase_diag(Fraction(-4 * t[1], 5), Fraction(3 * t[1], 5), bits)
     return m
 
 
@@ -151,7 +146,6 @@ def _perm_inv(p):
 
 SWAP_12 = (1, 0, 2)
 SWAP_23 = (0, 2, 1)
-SWAP_13 = (2, 1, 0)
 
 
 def word_permutation(j):

@@ -196,6 +196,7 @@ def test_bad_input_is_one_line_usage_error(argv, capsys):
     "argv",
     [
         ["compile", "--word", "m", "--j", "9"],
+        ["compile", "--word", "n", "--j", "9"],
         ["cost", "--n", "2", "--j", "9"],
         ["simulate", "--scheme", "one-mobile", "--n", "1", "--p", "0.5", "--j", "9"],
         ["simulate", "--scheme", "hierarchical", "--n", "2", "--p", "0.5", "--j", "9"],

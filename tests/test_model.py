@@ -79,10 +79,6 @@ def test_tau_satisfies_quadratic():
     assert abs(r.to_complex()) < 2.0 ** -300
 
 
-def test_frobenius_schur_indicators():
-    assert make_constants(64).frobenius_schur == (1, 1)
-
-
 def test_rejects_low_precision():
     with pytest.raises(ValueError):
         make_constants(52)

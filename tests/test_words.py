@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fibweave import words
+from fibweave import model, numerics, words
 from fibweave.model import TAU_F, make_constants
 
 
@@ -94,6 +94,27 @@ def test_evaluate_big_matches_double():
     for w in (words.m_word(1, words.SEED_S), words.n_word(1)):
         big = words.evaluate(w, consts).to_numpy()
         np.testing.assert_allclose(big, words.evaluate(w), atol=1e-12)
+
+
+def test_repeat_evaluation_reuses_phase_matrices(monkeypatch):
+    # R powers are built once per precision: a second evaluation at the
+    # same precision computes no phase and gives the same bits
+    consts = make_constants(320)
+    w = words.m_word(2)
+    first = words.evaluate(w, consts)
+    calls = []
+    real = numerics.exp_i_pi
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for owner in (numerics, words, model):
+        monkeypatch.setattr(owner, "exp_i_pi", counting)
+    second = words.evaluate(w, consts)
+    assert calls == []
+    bits = lambda m: [(z.re, z.im, z.precision_bits) for z in (m.a00, m.a01, m.a10, m.a11)]
+    assert bits(second) == bits(first)
 
 
 def test_evaluated_words_unitary():
