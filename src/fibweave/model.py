@@ -100,7 +100,7 @@ def make_constants(precision_bits=DEFAULT_PRECISION_BITS):
     tau = (BigComplex.one(p) + big_sqrt(5, p)) / 2
     omega = exp_i_pi(Fraction(1, 5), p)
     r = phase_diag(Fraction(-4, 5), Fraction(3, 5), p)
-    rt = 1 / big_sqrt(tau)
+    rt = 1 / big_sqrt(tau, p)
     f = Mat2(1 / tau, rt, rt, -(1 / tau))
     return FibConstants(
         precision_bits=p,

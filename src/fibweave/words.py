@@ -13,12 +13,15 @@ Iterating the M-step j times from the three-token seed F R F drives
 |<0|W|0>| to tau^(-5^j); from the five-token seed F R^-1 F R F to
 tau^(-2*5^j).  Iterating the N-step from the single token F drives
 |<1|W|0>| to tau^(-5^j/2).
+
+m_word and n_word return a Word, which evaluate multiplies by its recursion:
+8 matrix products per order on top of the seed's, not one per token.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, matmul
 
 import numpy as np
 
@@ -59,35 +62,55 @@ def _recursion(seed, j, inserts, inverse, product):
     return w
 
 
-def _r_tokens(exponents):
-    return tuple((("R", e),) for e in exponents)
+class Word(tuple):
+    """Tokens of a recursion word with recipe = (seed, exponents, j); it compares
+    and hashes as its tokens, and slices, sums and dagger() give plain tuples."""
+
+    def __new__(cls, seed, exponents, j):
+        inserts = tuple((("R", e),) for e in exponents)
+        word = super().__new__(cls, _recursion(seed, j, inserts, dagger, add))
+        word.recipe = (seed, exponents, j)
+        return word
 
 
 def m_word(j, seed=SEED_WEAVE):
     """j iterations of the M-step from the given seed."""
-    return _recursion(tuple(seed), j, _r_tokens(M_EXPONENTS), dagger, add)
+    return Word(tuple(seed), M_EXPONENTS, j)
 
 
 def n_word(j):
     """j iterations of the N-step from the single-token seed F."""
-    return _recursion(SEED_N, j, _r_tokens(N_EXPONENTS), dagger, add)
+    return Word(SEED_N, N_EXPONENTS, j)
+
+
+def _r_matrix(alpha, constants):
+    """R^alpha = diag(e^{-4 pi i alpha/5}, e^{3 pi i alpha/5})."""
+    if constants is None:
+        return np.linalg.matrix_power(R_NP, alpha)
+    return phase_diag(Fraction(-4 * alpha, 5), Fraction(3 * alpha, 5), constants.precision_bits)
+
+
+def _flat(word, constants):
+    """The token-by-token product: plain words, and the recursion's oracle."""
+    if constants is None:
+        m, f = np.eye(2, dtype=complex), F_NP
+    else:
+        m, f = Mat2.identity(constants.precision_bits), constants.F
+    for t in word:
+        m = m @ (f if t[0] == "F" else _r_matrix(t[1], constants))
+    return m
 
 
 def evaluate(word, constants=None):
-    """Multiply the word out; numpy doubles by default, Mat2 with constants."""
-    if constants is None:
-        m = np.eye(2, dtype=complex)
-        for t in word:
-            m = m @ (F_NP if t[0] == "F" else np.linalg.matrix_power(R_NP, t[1]))
-        return m
-    bits = constants.precision_bits
-    m = Mat2.identity(bits)
-    for t in word:
-        if t[0] == "F":
-            m = m @ constants.F
-        else:  # R^alpha = diag(e^{-4 pi i alpha/5}, e^{3 pi i alpha/5})
-            m = m @ phase_diag(Fraction(-4 * t[1], 5), Fraction(3 * t[1], 5), bits)
-    return m
+    """The word's matrix; numpy doubles by default, Mat2 with constants.
+    A Word runs its recursion on matrices from the seed's product, with
+    W* = W^dagger (W is unitary); any other word is multiplied token by token."""
+    if not isinstance(word, Word):
+        return _flat(word, constants)
+    seed, exponents, j = word.recipe
+    inserts = [_r_matrix(e, constants) for e in exponents]
+    adjoint = (lambda m: m.conj().T) if constants is None else Mat2.dagger
+    return _recursion(_flat(seed, constants), j, inserts, adjoint, matmul)
 
 
 def word_metrics(word):

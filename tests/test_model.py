@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fibweave import words
 from fibweave.model import (
     F_NP,
     R_NP,
@@ -92,3 +93,11 @@ def test_omega_is_primitive_tenth_root():
     assert abs((powers[4] + 1).to_complex()) < 1e-70
     assert abs((powers[9] - 1).to_complex()) < 1e-70
     assert all(abs((p - 1).to_complex()) > 0.5 for p in powers[:9])
+
+
+def test_constants_carry_the_requested_precision():
+    # below the 256-bit default too: F, S and the words built from them
+    for p in (128, 192, 320):
+        c = make_constants(p)
+        assert (c.tau.precision_bits, c.F.precision_bits, c.S.precision_bits) == (p, p, p)
+    assert words.evaluate(words.m_word(2), make_constants(128)).precision_bits == 128

@@ -3,9 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fibweave import model, numerics, words
+from fibweave import model, numerics, weave, words
 from fibweave.model import TAU_F, make_constants
+
+NAMED = {
+    "S": lambda j: words.m_word(j, words.SEED_S),
+    "W": lambda j: words.m_word(j, words.SEED_WEAVE),
+    "N": words.n_word,
+}
 
 
 def test_seeds():
@@ -159,3 +167,74 @@ def test_word_permutation_matches_generator_expansion():
 def test_word_metrics_shape():
     m = words.word_metrics(words.SEED_WEAVE)
     assert m == {"f_count": 3, "r_token_count": 2, "elementary_braid_count": 2}
+
+
+def test_word_is_its_tokens():
+    w = words.m_word(2)
+    assert w.recipe == (words.SEED_WEAVE, words.M_EXPONENTS, 2)
+    assert words.n_word(1).recipe == (words.SEED_N, words.N_EXPONENTS, 1)
+    assert w == tuple(w) and hash(w) == hash(tuple(w))
+    assert {w: 1}[tuple(w)] == 1
+    for derived in (words.dagger(w), w[1:], w[:], w + w, w + ()):
+        assert type(derived) is tuple  # plain tuples evaluate flat
+    for build in NAMED.values():
+        for start in (("Pair", "D"), ("Nested", "D")):
+            word = build(1)
+            assert weave.compile_weave(word, start) == weave.compile_weave(tuple(word), start)
+
+
+_token = st.one_of(
+    st.just(("F",)),
+    st.tuples(st.just("R"), st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.lists(_token, min_size=1, max_size=6).map(tuple),
+    exponents=st.sampled_from([words.M_EXPONENTS, words.N_EXPONENTS]),
+    j=st.integers(0, 2),
+)
+def test_recipe_matches_flat_product(seed, exponents, j):
+    # the recursion on matrices against token-by-token multiplication
+    w = words.Word(seed, exponents, j)
+    assert len(w) == len(seed) * 5**j + 5**j - 1
+    np.testing.assert_allclose(words.evaluate(w), words.evaluate(tuple(w)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_words_match_flat_in_doubles(name):
+    for j in range(5):
+        w = NAMED[name](j)
+        gap = np.abs(words.evaluate(w) - words.evaluate(tuple(w))).max()
+        assert gap <= 5**j * 1e-15, (j, gap)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+@pytest.mark.parametrize("bits, j", [(128, 2), (256, 3), (1024, 4)])
+def test_named_words_match_flat_at_precision(name, bits, j):
+    consts = make_constants(bits)
+    w = NAMED[name](j)
+    got, flat = words.evaluate(w, consts), words.evaluate(tuple(w), consts)
+    assert isinstance(got, numerics.Mat2) and got.precision_bits == bits
+    for i in range(4):
+        gap = abs(got.entry(i // 2, i % 2) - flat.entry(i // 2, i % 2))
+        assert float(gap) <= 2.0 ** -(bits - 16), (i, float(gap))
+
+
+def test_word_is_multiplied_by_its_recursion(monkeypatch):
+    # only the seed goes through the token loop: 8 products per order
+    # follow, not one per token
+    seen = []
+    flat = words._flat
+
+    def recording(word, constants):
+        seen.append(len(word))
+        return flat(word, constants)
+
+    monkeypatch.setattr(words, "_flat", recording)
+    words.evaluate(words.m_word(4), make_constants(128))
+    words.evaluate(words.n_word(3))
+    assert seen == [5, 1]
+    words.evaluate(tuple(words.n_word(1)))
+    assert seen == [5, 1, 9]
