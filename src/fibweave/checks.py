@@ -106,9 +106,8 @@ def error_laws(bits):
     """Entry magnitudes of the recursion words against exact tau powers:
     |M00| = tau^-(5^j) (seed S), |M00| = tau^-(2*5^j) (weave seed) and
     |N10|^2 = tau^-(5^j); orders 0-2 at `bits`, 3 at 4*bits and 4 at 8*bits."""
-    precisions = [bits, 4 * bits, 8 * bits]
     worst = 0.0
-    for prec, orders in zip(precisions, ((0, 1, 2), (3,), (4,))):
+    for prec, orders in ((bits, (0, 1, 2)), (4 * bits, (3,)), (8 * bits, (4,))):
         consts = model.make_constants(prec)
         for j in orders:
             for seed, power in ((words.SEED_S, 5**j), (words.SEED_WEAVE, 2 * 5**j)):
@@ -119,7 +118,7 @@ def error_laws(bits):
             target = 1 / _big_pow(consts.tau, 5**j)
             worst = max(worst, float(abs(abs(n.a10) * abs(n.a10) - target) / target))
     return _verdict(
-        {"precisions": precisions, "worst_relative_error": worst},
+        {"precisions": [bits, 4 * bits, 8 * bits], "worst_relative_error": worst},
         {"worst_relative_error": 1e-20},
     )
 

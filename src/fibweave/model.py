@@ -76,7 +76,7 @@ class FibConstants:
             rten = rten @ self.R
         f_sq = self.F @ self.F
         s00 = self.S.a00 - exp_i_pi(Fraction(4, 5), self.precision_bits) / self.tau
-        s10 = abs(self.S.a10) - 1 / big_sqrt(self.tau)
+        s10 = abs(self.S.a10) - 1 / big_sqrt(self.tau, self.precision_bits)
         frf = self.F @ self.R @ self.F @ self.R @ self.F
 
         def defect(m):

@@ -12,10 +12,8 @@ Two recursions matter here.  Writing W* for the reversed, R-inverted word:
 Iterating the M-step j times from the three-token seed F R F drives
 |<0|W|0>| to tau^(-5^j); from the five-token seed F R^-1 F R F to
 tau^(-2*5^j).  Iterating the N-step from the single token F drives
-|<1|W|0>| to tau^(-5^j/2).
-
-m_word and n_word return a Word, which evaluate multiplies by its recursion:
-8 matrix products per order on top of the seed's, not one per token.
+|<1|W|0>| to tau^(-5^j/2).  m_word and n_word return a Word, which evaluate
+multiplies by its recursion: 8 matrix products per order, not one per token.
 """
 from __future__ import annotations
 
@@ -71,6 +69,9 @@ class Word(tuple):
         word = super().__new__(cls, _recursion(seed, j, inserts, dagger, add))
         word.recipe = (seed, exponents, j)
         return word
+
+    def __reduce__(self):  # copies and pickles rebuild the word from its recipe
+        return Word, self.recipe
 
 
 def m_word(j, seed=SEED_WEAVE):

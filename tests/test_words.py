@@ -1,6 +1,9 @@
 """Word recursions: exact entry laws, exchange counts, strand permutations."""
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +178,8 @@ def test_word_is_its_tokens():
     assert words.n_word(1).recipe == (words.SEED_N, words.N_EXPONENTS, 1)
     assert w == tuple(w) and hash(w) == hash(tuple(w))
     assert {w: 1}[tuple(w)] == 1
+    for copied in (copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert type(copied) is words.Word and copied == w and copied.recipe == w.recipe
     for derived in (words.dagger(w), w[1:], w[:], w + w, w + ()):
         assert type(derived) is tuple  # plain tuples evaluate flat
     for build in NAMED.values():
@@ -224,17 +229,23 @@ def test_named_words_match_flat_at_precision(name, bits, j):
 
 def test_word_is_multiplied_by_its_recursion(monkeypatch):
     # only the seed goes through the token loop: 8 products per order
-    # follow, not one per token
-    seen = []
-    flat = words._flat
+    # follow, not one per token; and evaluate is entered once per word,
+    # as the benchmark's words.evaluate span counts it
+    seen, entered = [], []
+    flat, evaluate = words._flat, words.evaluate
 
     def recording(word, constants):
         seen.append(len(word))
         return flat(word, constants)
 
+    def counting(*args):
+        entered.append(len(args[0]))
+        return evaluate(*args)
+
     monkeypatch.setattr(words, "_flat", recording)
+    monkeypatch.setattr(words, "evaluate", counting)
     words.evaluate(words.m_word(4), make_constants(128))
     words.evaluate(words.n_word(3))
-    assert seen == [5, 1]
     words.evaluate(tuple(words.n_word(1)))
     assert seen == [5, 1, 9]
+    assert entered == [3749, 249, 9]  # tokens: seed length * 5^j + 5^j - 1
