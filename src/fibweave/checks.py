@@ -8,6 +8,7 @@ they report the same figures against the same bounds.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -82,44 +83,56 @@ def lemma1(bits):
     200 at `bits`."""
     rng = np.random.default_rng(101)
     samples = 200
+    laws = ((converge.iconverge, 1, 0), (converge.xconverge, 0, 0))  # |W_rc| = |U_rc|^5
     worst_np = 0.0
     for _ in range(samples):
         u = _rand_unitary_np(rng)
-        w = converge.iconverge(u)
-        worst_np = max(worst_np, abs(abs(w[1, 0]) - abs(u[1, 0]) ** 5))
-        w = converge.xconverge(u)
-        worst_np = max(worst_np, abs(abs(w[0, 0]) - abs(u[0, 0]) ** 5))
+        for law, r, c in laws:
+            worst_np = max(worst_np, abs(abs(law(u)[r, c]) - abs(u[r, c]) ** 5))
     worst_big = 0.0
     for _ in range(samples):
         u = _rand_unitary_big(rng, bits)
-        w = converge.iconverge(u)
-        worst_big = max(worst_big, float(abs(abs(w.a10) - _big_pow(abs(u.a10), 5))))
-        w = converge.xconverge(u)
-        worst_big = max(worst_big, float(abs(abs(w.a00) - _big_pow(abs(u.a00), 5))))
+        for law, r, c in laws:
+            w = law(u).entry(r, c)
+            worst_big = max(worst_big, float(abs(abs(w) - _big_pow(abs(u.entry(r, c)), 5))))
     return _verdict(
         {"samples": samples, "double_residual": worst_np, "big_residual": worst_big},
         {"double_residual": 1e-12, "big_residual": max(2.0 ** -(bits - 56), 1e-300)},
     )
 
 
+def _log2(x, prec):
+    """floor(log2 |x|) of a real BigComplex, read from its mpf exponent, so
+    no float conversion underflows it; an exact zero reads -prec."""
+    _, man, exp, bc = x.re
+    return exp + bc - 1 if man else -prec
+
+
 def error_laws(bits):
     """Entry magnitudes of the recursion words against exact tau powers:
     |M00| = tau^-(5^j) (seed S), |M00| = tau^-(2*5^j) (weave seed) and
-    |N10|^2 = tau^-(5^j); orders 0-2 at `bits`, 3 at 4*bits and 4 at 8*bits."""
-    worst = 0.0
+    |N10|^2 = tau^-(5^j); orders 0-2 at `bits`, 3 at 4*bits and 4 at 8*bits.
+    worst_relative_error underflows to 0.0 below about 1e-308, so the worst
+    log2 per order is reported as well and held to the same bound."""
+    worst, log2s = 0.0, []
     for prec, orders in ((bits, (0, 1, 2)), (4 * bits, (3,)), (8 * bits, (4,))):
         consts = model.make_constants(prec)
         for j in orders:
+            errs = []
             for seed, power in ((words.SEED_S, 5**j), (words.SEED_WEAVE, 2 * 5**j)):
                 m = words.evaluate(words.m_word(j, seed), consts)
                 target = 1 / _big_pow(consts.tau, power)
-                worst = max(worst, float(abs(abs(m.a00) - target) / target))
+                errs.append(abs(abs(m.a00) - target) / target)
             n = words.evaluate(words.n_word(j), consts)
             target = 1 / _big_pow(consts.tau, 5**j)
-            worst = max(worst, float(abs(abs(n.a10) * abs(n.a10) - target) / target))
+            errs.append(abs(abs(n.a10) * abs(n.a10) - target) / target)
+            worst = max([worst] + [float(e) for e in errs])
+            log2s.append(max(_log2(e, prec) for e in errs))
     return _verdict(
-        {"precisions": [bits, 4 * bits, 8 * bits], "worst_relative_error": worst},
+        {"precisions": [bits, 4 * bits, 8 * bits], "worst_relative_error": worst,
+         "worst_log2_relative_error": log2s},
         {"worst_relative_error": 1e-20},
+        holds=max(log2s) < math.log2(1e-20),
     )
 
 

@@ -238,10 +238,8 @@ class _Executor:
     def execute(self):
         for step in self.plan["schedule"]:
             op = step["op"]
-            if op == "transit-left":
-                self.transit(False)
-            elif op == "transit-right":
-                self.transit(True)
+            if op in ("transit-left", "transit-right"):
+                self.transit(op == "transit-right")
             elif op == "add":
                 k, web = step["pair"], ("web", step["side"])
                 self.run_gadget("add", ("pair", k, 0), ("pair", k, 1))
@@ -401,34 +399,36 @@ def _class_runs(n, j):
     }
 
 
-def _check_query(scheme, n, p, eps, trials=1, seed=0):
+def _query(scheme, n, p, j, eps, trials, seed):
+    """Check a query (trials None: no sampling) and return the one-mobile class
+    runs (None without j) or the hierarchical eps, by default the j residual."""
     _check_pairs(n)
     _check_rates(p=p, eps=eps)
-    if scheme == "one-mobile" and eps is not None:
-        raise ValueError("eps applies to the hierarchical scheme only, not to one-mobile")
-    if trials < 1:
+    if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= seed < 2**64:
+    if seed is not None and not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-
-
-def _exact(scheme, n, p, j, eps):
-    """exact_success together with the class runs it aggregated
-    (empty unless the one-mobile scheme has a gadget order)."""
-    _check_query(scheme, n, p, eps)
     if scheme == "one-mobile":
-        if j is None:
-            return one_mobile_floor(n, p), {}
-        runs = _class_runs(n, j)
-        p = float(p)
-        pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
-        total = sum(pmf[kl] * pmf[kr] * run["probability"] for (kl, kr), run in runs.items())
-        return total, runs
+        if eps is not None:
+            raise ValueError("eps applies to the hierarchical scheme only, not to one-mobile")
+        return None if j is None else _class_runs(n, j)
     if scheme == "hierarchical":
-        if eps is None:
-            eps = 0 if j is None else epsilon_prob(j)["probability"]
-        return hierarchical_success(n, p, eps), {}
+        _merge_levels(n)
+        if eps is not None:
+            return eps
+        return 0 if j is None else epsilon_prob(j)["probability"]
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _exact(scheme, n, p, resolved):
+    """exact_success from the resolved query."""
+    if scheme == "hierarchical":
+        return hierarchical_success(n, p, resolved)
+    if resolved is None:
+        return one_mobile_floor(n, p)
+    p = float(p)
+    pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+    return sum(pmf[kl] * pmf[kr] * run["probability"] for (kl, kr), run in resolved.items())
 
 
 def exact_success(scheme, n, p, j=None, eps=None):
@@ -442,7 +442,7 @@ def exact_success(scheme, n, p, j=None, eps=None):
     recursion takes the order-j residual as its merge failure rate unless
     eps is given explicitly.
     """
-    return _exact(scheme, n, p, j, eps)[0]
+    return _exact(scheme, n, p, _query(scheme, n, p, j, eps, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -455,34 +455,15 @@ def monte_carlo(scheme, n, p, trials, seed, j=None, eps=None):
     Returns estimate, standard error and the raw success count.  The
     stream is fully determined by the seed.
     """
-    _check_query(scheme, n, p, eps, trials, seed)
-    runs = _class_runs(n, j) if scheme == "one-mobile" and j is not None else {}
-    return _sample(scheme, n, p, trials, seed, j, eps, runs)
+    return _sample(scheme, n, p, trials, seed, _query(scheme, n, p, j, eps, trials, seed))
 
 
-def _sample(scheme, n, p, trials, seed, j, eps, runs):
-    """monte_carlo on checked input and its class runs (empty if unused)."""
+def _sample(scheme, n, p, trials, seed, resolved):
+    """monte_carlo from the resolved query."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     p = float(p)
-    if scheme == "one-mobile":
-        if j is not None:
-            # success probability by the nontrivial-pair count of each side,
-            # from class runs made before any draw: an over-limit layout
-            # fails before sampling
-            table = np.zeros((n + 1, n + 1))
-            for (kl, kr), run in runs.items():
-                table[kl, kr] = run["probability"]
-        left = rng.random((trials, n)) < p
-        right = rng.random((trials, n)) < p
-        if j is None:
-            success = left.any(axis=1) & right.any(axis=1)
-        else:
-            success = rng.random(trials) < table[left.sum(axis=1), right.sum(axis=1)]
-    elif scheme == "hierarchical":
-        _merge_levels(n)
-        if eps is None:
-            eps = 0.0 if j is None else epsilon_prob(j)["probability"]
-        eps = float(eps)
+    if scheme == "hierarchical":
+        eps = float(resolved)
         level = rng.random((trials, n)) < p
         while level.shape[1] > 1:
             a, b = level[:, 0::2], level[:, 1::2]
@@ -491,7 +472,16 @@ def _sample(scheme, n, p, trials, seed, j, eps, runs):
             level = (a | b) & ~(both & fail)
         success = level[:, 0]
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        left = rng.random((trials, n)) < p
+        right = rng.random((trials, n)) < p
+        if resolved is None:
+            success = left.any(axis=1) & right.any(axis=1)
+        else:
+            # success probability by the nontrivial-pair count of each side
+            table = np.zeros((n + 1, n + 1))
+            for (kl, kr), run in resolved.items():
+                table[kl, kr] = run["probability"]
+            success = rng.random(trials) < table[left.sum(axis=1), right.sum(axis=1)]
     k = int(success.sum())
     est = k / trials
     return {
@@ -520,6 +510,7 @@ def braid_cost(n, j):
     each level, the literal total l_j * n(n-1)/2, and the dominant final
     level l_j * (n/2)^2 that carries the quadratic scaling.
     """
+    _check_pairs(n)
     lj = gadget_word_length(j)
     levels = []
     total = 0
@@ -574,15 +565,15 @@ class DistillReport:
 
 
 def simulate_report(scheme, n, p, trials=0, seed=None, j=None, eps=None):
-    """Exact value plus optional sampling, bundled for serialization."""
+    """Exact value plus optional sampling, bundled for serialization; the
+    report's seed is the one sampled with (default 0), None without trials."""
     p_frac = p if isinstance(p, Fraction) else Fraction(str(p))
-    if trials:
-        seed = 0 if seed is None else seed
-        _check_query(scheme, n, p_frac, eps, trials, seed)
-    exact, runs = _exact(scheme, n, p_frac, j, eps)
-    mc = _sample(scheme, n, p_frac, trials, seed, j, eps, runs) if trials else {}
-    if runs:
-        full = runs[n, n]
+    resolved = _query(scheme, n, p_frac, j, eps, trials or None, seed)
+    exact = _exact(scheme, n, p_frac, resolved)
+    seed = (0 if seed is None else seed) if trials else None
+    mc = _sample(scheme, n, p_frac, trials, seed, resolved) if trials else {}
+    if scheme == "one-mobile" and resolved is not None:
+        full = resolved[n, n]
         counts = {"gadget": full["add_exchanges"], "total": full["exchanges"]}
     elif scheme == "hierarchical" and j is not None:
         cost = braid_cost(n, j)

@@ -237,21 +237,6 @@ class Mat2:
             _dot(self.a10, other.a01, self.a11, other.a11),
         )
 
-    def __mul__(self, scalar):
-        return Mat2(self.a00 * scalar, self.a01 * scalar, self.a10 * scalar, self.a11 * scalar)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return Mat2(
-            self.a00 + other.a00,
-            self.a01 + other.a01,
-            self.a10 + other.a10,
-            self.a11 + other.a11,
-        )
-
     def __sub__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented

@@ -12,17 +12,20 @@ Two recursions matter here.  Writing W* for the reversed, R-inverted word:
 Iterating the M-step j times from the three-token seed F R F drives
 |<0|W|0>| to tau^(-5^j); from the five-token seed F R^-1 F R F to
 tau^(-2*5^j).  Iterating the N-step from the single token F drives
-|<1|W|0>| to tau^(-5^j/2).  m_word and n_word return a Word, which evaluate
-multiplies by its recursion: 8 matrix products per order, not one per token.
+|<1|W|0>| to tau^(-5^j/2).  Both steps are the convergent-search product
+of :func:`fibweave.converge.interleave` with R-power inserts, run on tokens,
+generator tokens, strand permutations and matrices alike.  m_word and n_word
+return a Word, which evaluate multiplies by its recursion: 8 matrix products
+per order, not one per token.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from operator import add, matmul
 
 import numpy as np
 
+from .converge import interleave
 from .model import F_NP, R_NP
 from .numerics import Mat2, phase_diag
 from .numerics import exp_i_pi  # noqa: F401 -- unused, but benchmarks/spans.py patches this name
@@ -46,17 +49,15 @@ def dagger(word):
 
 def _recursion(seed, j, inserts, inverse, product):
     """j steps of W -> W x1 W* x2 W x3 W* x4 W from the seed, with W* the
-    inverse of W, the four inserts x1..x4 and products taken left to right.
+    inverse of W: the convergent-search step, :func:`converge.interleave`.
 
     Orders outside [0, MAX_ORDER] are refused: a word fivefold longer
     than order 8 would exhaust memory instead of failing."""
     if not 0 <= j <= MAX_ORDER:
         raise ValueError(f"order j must lie in [0, {MAX_ORDER}], got {j}")
-    x1, x2, x3, x4 = inserts
     w = seed
     for _ in range(j):
-        wi = inverse(w)
-        w = reduce(product, (x1, wi, x2, w, x3, wi, x4, w), w)
+        w = interleave(w, inverse(w), inserts, product)
     return w
 
 

@@ -149,6 +149,12 @@ def test_simulate_exact_field(capsys):
     assert payload["sampled_probability"] is not None
     code, out2, _ = run(argv, capsys)
     assert out1 == out2  # byte-identical given the seed
+    # without trials nothing is sampled, so no seed is recorded
+    for tail in ([], ["--seed", "7"]):
+        code, out, _ = run(argv[:-4] + tail, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["seed"] is None and payload["sampled_probability"] is None
 
 
 def test_simulate_flag_validation(capsys):
@@ -179,11 +185,15 @@ def test_simulate_flag_validation(capsys):
         ["simulate", "--scheme", "one-mobile", "--n", "2", "--p", "0.5",
          "--perfect-gadgets", "--trials", "10", "--seed", "-1"],
         ["simulate", "--scheme", "one-mobile", "--n", "2", "--p", "0.5",
+         "--perfect-gadgets", "--seed", "-1"],
+        ["simulate", "--scheme", "one-mobile", "--n", "2", "--p", "0.5",
          "--perfect-gadgets", "--trials", "-5"],
         ["chain-run", "/nonexistent/program.txt"],
         ["simulate", "--scheme", "one-mobile", "--n", "2", "--p", "0.3", "--eps", "0.1"],
         ["simulate", "--scheme", "one-mobile", "--n", "2", "--p", "0.3", "--j", "1",
          "--eps", "0.5"],
+        ["cost", "--n", "0", "--j", "1"],
+        ["cost", "--n", "-4", "--j", "1"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, capsys):

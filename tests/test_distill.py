@@ -192,6 +192,9 @@ def test_input_validation():
         distill.one_mobile_floor(2, 1.5)
     with pytest.raises(ValueError, match="n=0"):
         distill.exact_success("one-mobile", 0, 0.5)
+    for n in (0, -4):  # too few pairs is a usage error, not a planning error
+        with pytest.raises(ValueError, match=f"n={n}"):
+            distill.braid_cost(n, 1)
     with pytest.raises(ValueError, match="seed"):
         distill.monte_carlo("one-mobile", 2, 0.5, 10, -1)
     with pytest.raises(ValueError, match="trials"):
@@ -377,7 +380,7 @@ def test_report_samples_each_class_once(monkeypatch):
     assert rep.std_error == mc["std_error"]
     # bad sampling input fails before any run
     calls.clear()
-    for bad in ({"trials": -1}, {"trials": 10, "seed": -1}):
+    for bad in ({"trials": -1}, {"trials": 10, "seed": -1}, {"seed": -1}):
         with pytest.raises(ValueError):
             distill.simulate_report("one-mobile", n, p, j=j, **bad)
     assert calls == []
@@ -391,6 +394,7 @@ def test_report_records_sampling_seed():
     assert again.to_json() == rep.to_json()
     assert distill.simulate_report("hierarchical", 4, 0.5, trials=300).seed == 0
     assert distill.simulate_report("one-mobile", 2, 0.3, j=0).seed is None
+    assert distill.simulate_report("one-mobile", 2, 0.3, seed=7, j=0).seed is None
 
 
 def test_report_perfect_gadgets():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibweave import model, numerics, weave, words
+from fibweave import checks, model, numerics, weave, words
 from fibweave.model import TAU_F, make_constants
 
 NAMED = {
@@ -98,6 +99,19 @@ def test_entry_laws_double_precision():
         assert abs(abs(m[0, 0]) - TAU_F ** -(2 * 5**j)) < 1e-13
         n = words.evaluate(words.n_word(j))
         assert abs(abs(n[1, 0]) ** 2 - TAU_F ** -(5**j)) < 1e-13
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_error_laws_hold_at_every_order(bits):
+    # the float figure underflows to 0.0 for orders 3-4; the per-order log2
+    # figure, read from the mpf exponent, keeps each order under the bound
+    res = checks.error_laws(bits)
+    log2s = res["worst_log2_relative_error"]
+    assert res["passed"] and len(log2s) == 5
+    assert all(e < math.log2(1e-20) for e in log2s)
+    assert all(isinstance(e, int) for e in log2s)
+    worst = max(log2s[:3])  # orders 0-2 share the float figure's precision
+    assert 2.0**worst <= res["worst_relative_error"] < 2.0 ** (worst + 1)
 
 
 def test_evaluate_big_matches_double():
