@@ -15,23 +15,31 @@ total charges only.  Braiding an adjacent pair is exact: a 2x2 recoupled
 block when both charges and both ambient labels are nontrivial, a pure
 phase or a relabeling otherwise.  A fixed exchange sequence on three
 adjacent objects can be applied as one fused block (:class:`WindowMap`).
+Every kernel reads F and R from one binding, :attr:`Chain.gauge`.
 """
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
 from .model import F_NP, R_NP, fuse
 
-
-def _exchange_data(r):
-    """R00, R11 and the columns of F R F for one handedness, as Python complex."""
-    frf = F_NP @ r @ F_NP
-    return complex(r[0, 0]), complex(r[1, 1]), tuple(tuple(map(complex, col)) for col in frf.T)
+Gauge = namedtuple("Gauge", "f ccw cw")
 
 
-_CCW = _exchange_data(R_NP)
-# conjugated in Python: a first numpy conj at import costs 64 KB of memory
-_CW = _exchange_data(np.diag([complex(r).conjugate() for r in np.diag(R_NP)]))
+def gauge_of(f, r):
+    """The :class:`Gauge` of 2x2 arrays F and R (counterclockwise), all Python
+    complex: ``f[a][b]`` is F[a, b], and ``ccw`` and ``cw`` each hold R00, R11
+    and the columns of F R F for one handedness."""
+
+    def exchange(r):
+        frf = f @ r @ f
+        return complex(r[0, 0]), complex(r[1, 1]), tuple(tuple(map(complex, col)) for col in frf.T)
+
+    # conjugated in Python: a first numpy conj at import costs 64 KB of memory
+    cw = np.diag([complex(x).conjugate() for x in np.diag(r)])
+    return Gauge(tuple(tuple(map(complex, row)) for row in f), exchange(r), exchange(cw))
 
 
 def root(descriptor):
@@ -61,6 +69,8 @@ def is_admissible(charges, path):
 
 class Chain:
     """Superposition over (object descriptors, path labels) basis keys."""
+
+    gauge = gauge_of(F_NP, R_NP)
 
     def __init__(self, amps):
         self.amps = dict(amps)
@@ -94,7 +104,7 @@ class Chain:
         both nontrivial: phase R00 or R11 when an ambient label is vacuum,
         else the recoupled 2x2 block F R F on the middle label.
         """
-        r00, r11, frf = _CCW if ccw else _CW
+        r00, r11, frf = self.gauge.ccw if ccw else self.gauge.cw
         out = {}
         get = out.get
         swapped = {}  # ch -> (swapped descriptors, root i, root i+1)
@@ -143,26 +153,23 @@ class Chain:
     def merge(self, i):
         """Fuse objects i and i+1 into one composite object.
 
-        The label between them is recoupled into the composite's total
-        charge (a genuine 2x2 rotation when all four surrounding charges
-        are nontrivial, a relabeling otherwise); the constituent pair is
+        The label x between them is recoupled into the composite's total
+        charge g (weight F[g, x] when all four surrounding charges are
+        nontrivial, a relabeling otherwise); the constituent pair is
         kept in the new object's descriptor so that different formation
         histories remain orthogonal basis states.
         """
+        f = self.gauge.f
         out = {}
         for (ch, p), a in self.amps.items():
             da, db = ch[i - 1], ch[i]
             aa, bb = root(da), root(db)
             x, lpre, lpost = p[i], p[i - 1], p[i + 1]
             np_ = p[:i] + p[i + 1:]
-            if aa == 1 and bb == 1 and lpre == 1 and lpost == 1:
-                gw = [(g, complex(F_NP[x, g])) for g in (0, 1)]
-            else:
-                gw = [
-                    (g, 1.0)
-                    for g in (0, 1)
-                    if g in fuse(aa, bb) and lpost in fuse(lpre, g)
-                ][:1]
+            if aa == bb == lpre == lpost == 1:
+                gw = [(g, f[g][x]) for g in (0, 1)]
+            else:  # the composite charge is fixed by the fusion rules
+                gw = [(g, 1.0) for g in fuse(aa, bb) if lpost in fuse(lpre, g)]
             for g, w in gw:
                 k = (ch[:i - 1] + ((g, (da, db)),) + ch[i + 1:], np_)
                 out[k] = out.get(k, 0) + w * a

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import Chain, WindowMap, root
-from .model import F_NP, TAU_F
+from .model import TAU_F
 from .weave import (
     ACCEPTED_LOOP_ISOTOPY,
     compile_weave,
@@ -157,7 +157,7 @@ def init_protocol_state(assign_charges):
             else:
                 # vacuum pair inside ambient charge 1: superposed channels
                 for x in (0, 1):
-                    new[(ch + (1, 1), p + (x, 1))] = a * complex(F_NP[x, 0])
+                    new[(ch + (1, 1), p + (x, 1))] = a * Chain.gauge.f[x][0]
         states = new
     return Chain({(ch + (1,), p + (0,)): a for (ch, p), a in states.items()})
 
@@ -262,32 +262,27 @@ class _Executor:
     # -- readout ---------------------------------------------------
 
     def readout(self):
-        """Fold each side into one composite and change basis to the
-        joint channel of the two composites.
+        """Fold each side into one composite, then merge the two
+        composites (objects 2 and 3) into their joint channel.
 
-        Success amplitude per internal sector: sum_l F[l, 0] amp(1, 1, l)
-        over the label l between the composites; probabilities add across
-        sectors.  Also reports the left marginal P[left composite = 1].
+        Success is the mass of a joint charge 0 formed from two charge-1
+        composites: per internal sector, the amplitude sum_l F[0, l] amp(l)
+        over the label l between the composites.  The left marginal
+        P[left composite = 1] and the norm are read before the merge.
         """
         for side in ("L", "R"):
             self.form({("web", side)}, ("final", side), fold=True)
-        sectors = {}
-        marginal = 0.0
-        for (ch, p), a in self.state.amps.items():
-            d_left, d_right = ch[1], ch[2]
-            if root(d_left) == 1:
-                marginal += abs(a) ** 2
-            if root(d_left) == 1 and root(d_right) == 1:
-                sectors.setdefault((d_left, d_right), {}).setdefault(p[2], 0)
-                sectors[(d_left, d_right)][p[2]] += a
-        joint = sum(
-            abs(sum(F_NP[l, 0] * amps.get(l, 0) for l in (0, 1))) ** 2
-            for amps in sectors.values()
-        )
+        marginal = sum(abs(a) ** 2 for (ch, _p), a in self.state.amps.items() if root(ch[1]) == 1)
+        norm = self.state.norm()
+        joint = 0.0
+        for (ch, _p), a in self.state.merge(2).amps.items():
+            g, (d_left, d_right) = ch[1]
+            if g == 0 and root(d_left) == root(d_right) == 1:
+                joint += abs(a) ** 2
         return {
-            "probability": float(joint),
+            "probability": joint,
             "marginal_left": float(marginal),
-            "norm": self.state.norm(),
+            "norm": norm,
             "exchanges": self.exchanges,
         }
 

@@ -38,7 +38,6 @@ F_NP = np.array(
     ],
     dtype=complex,
 )
-S_NP = F_NP @ R_NP @ F_NP
 
 
 def fuse(a, b):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import F_NP
+from .model import F_NP, R_NP
 
 BASES = ("Pair", "Nested")
 SLOTS = ("B", "C", "D")
@@ -141,16 +141,13 @@ def compile_weave(word, start):
 
 
 def move_matrix(kind):
-    """True 2x2 matrix of a move on the current-basis middle label."""
-    if kind == "X+":
-        return np.diag([np.exp(-4j * np.pi / 5), np.exp(3j * np.pi / 5)])
-    if kind == "X-":
-        return np.diag([np.exp(4j * np.pi / 5), np.exp(-3j * np.pi / 5)])
-    if kind == "L+":
-        return np.diag([1.0, np.exp(3j * np.pi / 5)])
-    if kind == "L-":
-        return np.diag([1.0, np.exp(-3j * np.pi / 5)])
-    raise ValueError(f"unknown move kind {kind!r}")
+    """True 2x2 matrix of a move on the current-basis middle label: an
+    exchange X+ is R, a loop L+ is diag(1, R11), and X-, L- are their
+    inverses."""
+    if kind not in PHASE_EXPONENT:
+        raise ValueError(f"unknown move kind {kind!r}")
+    r = np.diag(R_NP) if kind[1] == "+" else np.diag(R_NP).conj()
+    return np.diag(r if kind[0] == "X" else [1, r[1]])
 
 
 def weave_semantics(word, start):

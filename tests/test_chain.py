@@ -6,7 +6,7 @@ import pytest
 
 from fibweave.chain import Chain, is_admissible, paths_for, root
 from fibweave.checks import _gap, _random_state
-from fibweave.model import S_NP
+from fibweave.model import F_NP, R_NP
 
 
 def _close(a, b, tol=1e-12):
@@ -80,15 +80,14 @@ def test_braid_inverse_and_unitarity():
 def test_middle_exchange_is_recoupled_block():
     st = Chain.init_pairs([1, 1]).braid_adjacent(2)
     amps = {p: a for (_c, p), a in st.amps.items()}
-    assert amps[(0, 1, 0, 1, 0)] == pytest.approx(S_NP[0, 0], abs=1e-14)
-    assert amps[(0, 1, 1, 1, 0)] == pytest.approx(S_NP[1, 0], abs=1e-14)
+    s = F_NP @ R_NP @ F_NP
+    assert amps[(0, 1, 0, 1, 0)] == pytest.approx(s[0, 0], abs=1e-14)
+    assert amps[(0, 1, 1, 1, 0)] == pytest.approx(s[1, 0], abs=1e-14)
 
 
 def _reference_braid(amps, i, ccw):
     """The exchange kernel as first written: F R F from two matrix products
     on every call, numpy scalar phases, labels rebuilt through a list."""
-    from fibweave.model import F_NP, R_NP
-
     out = {}
     sb = F_NP @ (R_NP if ccw else np.conj(R_NP)) @ F_NP
     r00 = R_NP[0, 0] if ccw else np.conj(R_NP[0, 0])
@@ -165,8 +164,6 @@ def test_vacuum_channel_pair_transparency():
     # a charge-1 pair prepared in its vacuum channel is transparent to a
     # transit: the relocated state comes out with amplitude +1, no residue
     # in the other channel
-    from fibweave.model import F_NP
-
     amps = {}
     for x in (0, 1):
         amps[((1, 1, 1, 1), (0, 1, x, 1, 0))] = F_NP[x, 0]
@@ -221,7 +218,7 @@ def test_cut_distribution():
     st = Chain.init_pairs([1, 1]).braid_adjacent(2)
     p0, p1 = st.cut_distribution(2)
     assert p0 + p1 == pytest.approx(1.0)
-    assert p1 == pytest.approx(abs(S_NP[1, 0]) ** 2, abs=1e-13)
+    assert p1 == pytest.approx(abs((F_NP @ R_NP @ F_NP)[1, 0]) ** 2, abs=1e-13)
 
 
 def test_prune_drops_negligible_terms():

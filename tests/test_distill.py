@@ -5,16 +5,17 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibweave import distill
-from fibweave.chain import Chain
+from fibweave.chain import Chain, gauge_of
 from fibweave.checks import _gap, _random_state
 from fibweave.distill import PlanningError
-from fibweave.model import TAU_F, fuse
+from fibweave.model import F_NP, R_NP, TAU_F, fuse
 from fibweave.weave import gadget_exchanges
 
 # joint success probabilities for one nontrivial pair per side, frozen from
@@ -50,6 +51,35 @@ def enumerated_success(n, p, j):
             weight *= p if c else 1 - p
         total += weight * prob
     return total
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+ROUTES = ("physical", "composite")
+
+
+def reference_shapes():
+    """(left, right, j, frozen entry) for every key of the benchmark's
+    frozen table at j <= 1."""
+    with open(REFERENCE) as f:
+        entries = json.load(f)["entries"]
+    for key, entry in entries.items():
+        left, right, j = key.split("/")
+        if int(j[1:]) <= 1:
+            yield tuple(map(int, left)), tuple(map(int, right)), int(j[1:]), entry
+
+
+def shape_runs():
+    """run_end_to_end of every reference shape at j <= 1 on both routes."""
+    return {
+        (left, right, j, route): distill.run_end_to_end(left, right, j, route=route)
+        for left, right, j, _entry in reference_shapes()
+        for route in ROUTES
+    }
+
+
+@lru_cache(maxsize=None)
+def standard_runs():
+    return shape_runs()
 
 
 def test_plan_schedule_layout():
@@ -117,6 +147,37 @@ def test_routes_agree_without_sharing_machinery():
         b = distill.run_end_to_end(side, side, j, route="composite")
         assert abs(a["probability"] - b["probability"]) < 1e-11
         assert a["exchanges"] > b["exchanges"]
+
+
+def test_reference_table_shapes():
+    # every frozen shape at j <= 1, multi-pair readouts included
+    runs = standard_runs()
+    for left, right, j, entry in reference_shapes():
+        for route in ROUTES:
+            run = runs[left, right, j, route]
+            assert abs(run["probability"] - entry[route]) <= 1e-12, (left, right, j, route)
+            assert run["exchanges"] == entry[f"{route}_exchanges"]
+
+
+@settings(max_examples=5, deadline=None)
+@given(phi=st.floats(0, 2 * np.pi))
+def test_vertex_gauge_change_moves_no_probability(phi):
+    """F -> D F D^-1 with D = diag(1, e^{i phi}) and R kept is a gauge
+    change: no probability or marginal may move.  The window blocks cached
+    by distill._gadgets were built from the binding, so they are dropped
+    before and after the gauged runs."""
+    want = standard_runs()
+    d, d_inv = np.diag([1, np.exp(1j * phi)]), np.diag([1, np.exp(-1j * phi)])
+    distill._gadgets.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Chain, "gauge", gauge_of(d @ F_NP @ d_inv, R_NP))
+            got = shape_runs()
+    finally:
+        distill._gadgets.cache_clear()
+    for key, run in got.items():
+        for figure in ("probability", "marginal_left"):
+            assert abs(run[figure] - want[key][figure]) <= 1e-12, (key, figure)
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])
