@@ -128,8 +128,8 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args):
-    if args.perfect_gadgets and args.j is not None:
-        print("choose either --j or --perfect-gadgets", file=sys.stderr)
+    if args.perfect_gadgets and (args.j is not None or args.eps is not None):
+        print("--perfect-gadgets excludes --j and --eps", file=sys.stderr)
         return 2
     if not args.perfect_gadgets and args.j is None and args.eps is None:
         print("need a gadget order (--j), --eps, or --perfect-gadgets", file=sys.stderr)

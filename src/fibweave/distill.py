@@ -25,7 +25,10 @@ feeds the other.
 Closed-form success floors for perfect gadgets are returned as exact
 rationals; gadget-level probabilities come from the simulation routes.
 Charge-0 pairs are vacuum, so gadget-level success depends only on the
-nontrivial-pair count of each side: one composite run per count class.
+nontrivial-pair count of each side and the gadget order, never on p: each
+count class is simulated once per process on the composite route, and
+that run is shared across n, p and the three queries (:func:`exact_success`,
+:func:`monte_carlo`, :func:`simulate_report`).
 """
 from __future__ import annotations
 
@@ -381,14 +384,24 @@ def one_mobile_assignment_success(assign_left, assign_right, j, jN=None):
     ]
 
 
+@lru_cache(maxsize=None)
+def _class_run(kl, kr, j):
+    """(probability, exchanges, add_exchanges) of the composite run with
+    kl and kr nontrivial pairs, simulated once per process: the class never
+    depends on p or on the charge-0 pairs beside it.  At most 4 x 4 classes
+    at each of the 9 orders, so the cache needs no bound."""
+    run = run_end_to_end((1,) * kl, (1,) * kr, j, route="composite")
+    return run["probability"], run["exchanges"], run["add_exchanges"]
+
+
 def _class_runs(n, j):
-    """Composite-route result per nontrivial-pair count class (k_L, k_R),
+    """Success probability per nontrivial-pair count class (k_L, k_R),
     1 <= k_L, k_R <= n: charge-0 pairs are vacuum and act trivially, and a
     side without a nontrivial pair fails outright.  The (n, n) layout is
     planned first, so an over-limit n fails before any run."""
     plan_one_mobile(n, n, j)
     return {
-        (kl, kr): run_end_to_end((1,) * kl, (1,) * kr, j, route="composite")
+        (kl, kr): _class_run(kl, kr, j)[0]
         for kl in range(1, n + 1)
         for kr in range(1, n + 1)
     }
@@ -396,7 +409,8 @@ def _class_runs(n, j):
 
 def _query(scheme, n, p, j, eps, trials, seed):
     """Check a query (trials None: no sampling) and return the one-mobile class
-    runs (None without j) or the hierarchical eps, by default the j residual."""
+    probabilities (None without j) or the hierarchical eps, by default the j
+    residual."""
     _check_pairs(n)
     _check_rates(p=p, eps=eps)
     if trials is not None and trials < 1:
@@ -423,7 +437,7 @@ def _exact(scheme, n, p, resolved):
         return one_mobile_floor(n, p)
     p = float(p)
     pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
-    return sum(pmf[kl] * pmf[kr] * run["probability"] for (kl, kr), run in resolved.items())
+    return sum(pmf[kl] * pmf[kr] * prob for (kl, kr), prob in resolved.items())
 
 
 def exact_success(scheme, n, p, j=None, eps=None):
@@ -432,8 +446,10 @@ def exact_success(scheme, n, p, j=None, eps=None):
     With no gadget order (perfect gadgets) the closed forms are returned
     as exact rationals.  With a gadget order j, the one-mobile scheme sums
     binomial weights over the n^2 nontrivial-pair count classes (k_L, k_R),
-    each simulated once on the composite route, up to the protocol's
-    18 anyons (4 pairs per side); it refuses eps.  The hierarchical
+    up to the protocol's 18 anyons (4 pairs per side); it refuses eps.
+    Each class is simulated once per process on the composite route and
+    shared across n, p, :func:`monte_carlo` and :func:`simulate_report`,
+    so a p-sweep runs no class twice.  The hierarchical
     recursion takes the order-j residual as its merge failure rate unless
     eps is given explicitly.
     """
@@ -474,8 +490,8 @@ def _sample(scheme, n, p, trials, seed, resolved):
         else:
             # success probability by the nontrivial-pair count of each side
             table = np.zeros((n + 1, n + 1))
-            for (kl, kr), run in resolved.items():
-                table[kl, kr] = run["probability"]
+            for (kl, kr), prob in resolved.items():
+                table[kl, kr] = prob
             success = rng.random(trials) < table[left.sum(axis=1), right.sum(axis=1)]
     k = int(success.sum())
     est = k / trials
@@ -568,8 +584,8 @@ def simulate_report(scheme, n, p, trials=0, seed=None, j=None, eps=None):
     seed = (0 if seed is None else seed) if trials else None
     mc = _sample(scheme, n, p_frac, trials, seed, resolved) if trials else {}
     if scheme == "one-mobile" and resolved is not None:
-        full = resolved[n, n]
-        counts = {"gadget": full["add_exchanges"], "total": full["exchanges"]}
+        _prob, total, gadget = _class_run(n, n, j)
+        counts = {"gadget": gadget, "total": total}
     elif scheme == "hierarchical" and j is not None:
         cost = braid_cost(n, j)
         counts = {"gadget": cost["word_length"], "total": cost["total_literal"]}

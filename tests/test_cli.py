@@ -194,6 +194,8 @@ def test_simulate_flag_validation(capsys):
          "--eps", "0.5"],
         ["cost", "--n", "0", "--j", "1"],
         ["cost", "--n", "-4", "--j", "1"],
+        ["simulate", "--scheme", "hierarchical", "--n", "4", "--p", "0.3",
+         "--perfect-gadgets", "--eps", "0.1"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, capsys):

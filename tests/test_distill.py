@@ -3,6 +3,7 @@ Monte Carlo, and cost accounting."""
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from fibweave import distill
 from fibweave.chain import Chain, gauge_of
 from fibweave.checks import _gap, _random_state
-from fibweave.distill import PlanningError
+from fibweave.distill import DistillReport, PlanningError
 from fibweave.model import F_NP, R_NP, TAU_F, fuse
 from fibweave.weave import gadget_exchanges
 
@@ -80,6 +81,40 @@ def shape_runs():
 @lru_cache(maxsize=None)
 def standard_runs():
     return shape_runs()
+
+
+def spy_runs(monkeypatch):
+    """Record the positional arguments of every run_end_to_end call."""
+    calls = []
+    run = distill.run_end_to_end
+    monkeypatch.setattr(distill, "run_end_to_end", lambda *a, **k: calls.append(a) or run(*a, **k))
+    return calls
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("a protocol run started")
+
+
+def hexed(value):
+    """Floats by their bits, through dicts, lists, tuples and reports."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, DistillReport):
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {k: hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value
+
+
+def one_mobile_queries(p):
+    """The three one-mobile queries at n = 2, j = 1, sampling included."""
+    return [
+        distill.exact_success("one-mobile", 2, p, j=1),
+        distill.monte_carlo("one-mobile", 2, p, 3000, 5, j=1),
+        distill.simulate_report("one-mobile", 2, p, trials=3000, seed=5, j=1),
+    ]
 
 
 def test_plan_schedule_layout():
@@ -163,21 +198,31 @@ def test_reference_table_shapes():
 @given(phi=st.floats(0, 2 * np.pi))
 def test_vertex_gauge_change_moves_no_probability(phi):
     """F -> D F D^-1 with D = diag(1, e^{i phi}) and R kept is a gauge
-    change: no probability or marginal may move.  The window blocks cached
-    by distill._gadgets were built from the binding, so they are dropped
-    before and after the gauged runs."""
+    change: no probability or marginal may move, and neither may the
+    class-sum success.  The window blocks cached by distill._gadgets and
+    the class runs cached by distill._class_run were built from the
+    binding, so both are dropped before and after the gauged runs."""
     want = standard_runs()
+    want_exact = distill.exact_success("one-mobile", 2, 0.3, j=1)
     d, d_inv = np.diag([1, np.exp(1j * phi)]), np.diag([1, np.exp(-1j * phi)])
     distill._gadgets.cache_clear()
+    distill._class_run.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Chain, "gauge", gauge_of(d @ F_NP @ d_inv, R_NP))
             got = shape_runs()
+            misses = distill._class_run.cache_info().misses
+            got_exact = distill.exact_success("one-mobile", 2, 0.3, j=1)
+            # all four classes ran under the gauge: no standard-gauge entry
+            # was read
+            assert distill._class_run.cache_info().misses == misses + 4
     finally:
         distill._gadgets.cache_clear()
+        distill._class_run.cache_clear()
     for key, run in got.items():
         for figure in ("probability", "marginal_left"):
             assert abs(run[figure] - want[key][figure]) <= 1e-12, (key, figure)
+    assert abs(got_exact - want_exact) <= 1e-12
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])
@@ -295,9 +340,6 @@ def test_exact_success_aggregates_assignments(monkeypatch):
     with pytest.raises(ValueError):
         distill.exact_success("nope", 2, 0.3)
     # five pairs per side are over the 18-anyon limit: refused before any run
-    def no_run(*args, **kwargs):
-        raise AssertionError("a run started before the layout was checked")
-
     monkeypatch.setattr(distill, "run_end_to_end", no_run)
     with pytest.raises(PlanningError, match="5 pairs left and 5 right need 22 anyons"):
         distill.exact_success("one-mobile", 5, 0.3, j=1)
@@ -428,15 +470,16 @@ def test_report_serialization():
 
 
 def test_report_samples_each_class_once(monkeypatch):
-    # sampling reuses the class runs of the exact sum: n^2 runs, not 2 n^2,
-    # and the same successes as monte_carlo on the same Philox stream
+    # sampling reuses the class runs of the exact sum: n^2 runs from a cold
+    # cache, not 2 n^2, and monte_carlo after it runs nothing more; the same
+    # successes as monte_carlo on the same Philox stream
     n, p, trials, seed, j = 3, 0.4, 4000, 12, 1
-    calls = []
-    run = distill.run_end_to_end
-    monkeypatch.setattr(distill, "run_end_to_end", lambda *a, **k: calls.append(a) or run(*a, **k))
+    distill._class_run.cache_clear()
+    calls = spy_runs(monkeypatch)
     rep = distill.simulate_report("one-mobile", n, p, trials=trials, seed=seed, j=j)
     assert len(calls) == n * n
     mc = distill.monte_carlo("one-mobile", n, p, trials, seed, j=j)
+    assert len(calls) == n * n
     assert rep.sampled_probability == mc["estimate"] == mc["successes"] / trials
     assert rep.std_error == mc["std_error"]
     # bad sampling input fails before any run
@@ -445,6 +488,48 @@ def test_report_samples_each_class_once(monkeypatch):
         with pytest.raises(ValueError):
             distill.simulate_report("one-mobile", n, p, j=j, **bad)
     assert calls == []
+
+
+def test_class_runs_serve_every_p_and_query(monkeypatch):
+    # one cold query fills the table; at a new p none of the three queries
+    # runs the protocol, and each returns the bits of a cold call
+    distill._class_run.cache_clear()
+    distill.exact_success("one-mobile", 2, 0.3, j=1)
+    with monkeypatch.context() as mp:
+        mp.setattr(distill, "run_end_to_end", no_run)
+        warm = one_mobile_queries(0.55)
+    distill._class_run.cache_clear()
+    assert hexed(one_mobile_queries(0.55)) == hexed(warm)
+
+
+def test_class_runs_are_shared_across_n(monkeypatch):
+    # n = 1 and n = 2 share the (1, 1) class: 3 new runs, not 4
+    distill._class_run.cache_clear()
+    calls = spy_runs(monkeypatch)
+    distill.exact_success("one-mobile", 1, 0.3, j=0)
+    assert calls == [((1,), (1,), 0)]
+    distill.exact_success("one-mobile", 2, 0.3, j=0)
+    assert calls[1:] == [((1,), (1, 1), 0), ((1, 1), (1,), 0), ((1, 1), (1, 1), 0)]
+    info = distill._class_run.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+    # an entry holds only immutable figures
+    entry = distill._class_run(1, 1, 0)
+    assert type(entry) is tuple and all(type(x) in (float, int) for x in entry)
+
+
+def test_returned_results_do_not_reach_the_class_table():
+    # mutating what a query returns changes no later answer
+    before = hexed(one_mobile_queries(0.3))
+    _exact, mc, rep = one_mobile_queries(0.3)
+    mc["estimate"] = mc["successes"] = -1
+    rep.braid_counts["total"] = -1
+    rep.exact_probability = 2.0
+    distill._class_runs(2, 1)[1, 1] = 2.0
+    assert hexed(one_mobile_queries(0.3)) == before
+    assert distill.simulate_report("one-mobile", 2, 0.3, j=1).braid_counts == {
+        "gadget": 28,
+        "total": 344,
+    }
 
 
 def test_report_records_sampling_seed():
