@@ -48,7 +48,9 @@ from .weave import (
     gadget_exchanges,
     invert_program,
 )
-from .words import SEED_WEAVE, generator_braid_count, generator_word, m_word, n_word
+from .words import (
+    SEED_WEAVE, check_order, generator_braid_count, generator_word, m_word, n_word,
+)
 
 MAX_PROTOCOL_ANYONS = 18
 
@@ -364,6 +366,7 @@ def merge_success(p, eps):
 
 def epsilon_prob(j):
     """Residual of the order-j addition gadget, amplitude and probability."""
+    check_order(j)
     amp = TAU_F ** -(2 * 5**j)
     return {"amplitude_residual": amp, "probability": amp**2}
 

@@ -16,7 +16,9 @@ the basis flag only.  Each unit R demand emits one move:
 
 Exchange states and loop states partition the six machine states; which
 move kind realises a unit R power is forced by the state class.  Every move
-sends the state to its R-partner.
+sends the state to its R-partner.  The machine therefore has twelve moves,
+one per state and handedness; MOVE_TABLE builds them once, at import, and
+every compiled program shares them.
 
 Execution order runs through the word right to left (the rightmost factor
 acts first on a ket), and the true matrix of each move equals the demanded
@@ -94,11 +96,28 @@ class WeaveProgram:
         return len(self.moves) + len(self.closing)
 
 
+def _table_entry(state, unit):
+    """The move realising R^unit from a state, and the state it leads to:
+    the state class forces the kind, and every move goes to the R-partner."""
+    if state in EXCHANGE_STATES:
+        kind = "X+" if unit > 0 else "X-"
+    else:
+        kind = "L-" if unit > 0 else "L+"
+    return Move(kind, state, R_PARTNER[state]), R_PARTNER[state]
+
+
+#: The machine's twelve moves, built once: (state, unit) -> (move, next
+#: state) for the 6 states and the unit R powers +1 and -1.  Move is
+#: frozen, so every compiled program shares these instances.
+MOVE_TABLE = {(s, u): _table_entry(s, u) for s in STATES for u in (1, -1)}
+
+
 def _walk(word, start):
     """Walk the word in execution order from a checked start state.
 
-    Returns the steps, one Move per unit R power and None per F token, and
-    the end state.  The compiler and the semantics share this walk.
+    Returns the steps, one Move per unit R power (looked up in MOVE_TABLE) and
+    None per F token, and the end state.  The compiler and the semantics
+    share this walk.
     """
     s = start
     steps = []
@@ -109,12 +128,8 @@ def _walk(word, start):
         else:
             unit = 1 if t[1] > 0 else -1
             for _ in range(abs(t[1])):
-                if s in EXCHANGE_STATES:
-                    kind = "X+" if unit > 0 else "X-"
-                else:
-                    kind = "L-" if unit > 0 else "L+"
-                steps.append(Move(kind, s, R_PARTNER[s]))
-                s = R_PARTNER[s]
+                move, s = MOVE_TABLE[s, unit]
+                steps.append(move)
     return steps, s
 
 
@@ -125,7 +140,8 @@ def compile_weave(word, start):
     away from the start state, a single positive closing move is appended.
     For the recursion words the end state is then the R-partner of the
     start, so one move restores the star's position; any other word raises
-    ValueError.
+    ValueError.  Every move, the closing one included, is looked up in
+    MOVE_TABLE rather than built.
     """
     start = _check_state(start)
     steps, end = _walk(word, start)
@@ -134,8 +150,7 @@ def compile_weave(word, start):
     if (len(steps) - len(moves)) % 3 == 0 and end != start:
         if R_PARTNER[end] != start:
             raise ValueError(f"closing from {end} cannot reach {start} in one move")
-        kind = "X+" if end in EXCHANGE_STATES else "L-"
-        closing.append(Move(kind, end, start))
+        closing.append(MOVE_TABLE[end, 1][0])
         end = start
     return WeaveProgram(start, tuple(moves), tuple(closing), end)
 
@@ -305,7 +320,9 @@ def gadget_exchanges(moves, left, group1_size=1, group2_size=1, variant=0):
 
     Accepts a WeaveProgram (expands moves plus closing) or any iterable of
     Move.  Returns a list of (position, ccw) pairs, 1-indexed as in the
-    chain simulator.
+    chain simulator.  Each distinct (kind, pre slot, post slot) is expanded
+    once per call, keyed by value, so parsed, inverted and hand-built moves
+    expand as table moves do.
     """
     if isinstance(moves, WeaveProgram):
         moves = moves.all_moves()
@@ -316,16 +333,19 @@ def gadget_exchanges(moves, left, group1_size=1, group2_size=1, variant=0):
         "C": left + group1_size,
         "D": left + group1_size + group2_size,
     }
+    runs = {}  # (kind, pre slot, post slot) -> its exchanges
     out = []
     for move in moves:
-        ccw = move.kind in ("X+", "L+")
-        if variant == 1 and move.kind.startswith("L"):
-            ccw = not ccw
-        p, q = pos[move.pre[1]], pos[move.post[1]]
-        if q < p:
-            out.extend((x, ccw) for x in range(p - 1, q - 1, -1))
-        else:
-            out.extend((x, ccw) for x in range(p, q))
+        key = (move.kind, move.pre[1], move.post[1])
+        run = runs.get(key)
+        if run is None:
+            ccw = move.kind in ("X+", "L+")
+            if variant == 1 and move.kind.startswith("L"):
+                ccw = not ccw
+            p, q = pos[key[1]], pos[key[2]]
+            steps = range(p - 1, q - 1, -1) if q < p else range(p, q)
+            run = runs[key] = [(x, ccw) for x in steps]
+        out.extend(run)
     return out
 
 

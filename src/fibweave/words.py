@@ -47,14 +47,17 @@ def dagger(word):
     return tuple(t if t[0] == "F" else ("R", -t[1]) for t in reversed(word))
 
 
-def _recursion(seed, j, inserts, inverse, product):
-    """j steps of W -> W x1 W* x2 W x3 W* x4 W from the seed, with W* the
-    inverse of W: the convergent-search step, :func:`converge.interleave`.
-
-    Orders outside [0, MAX_ORDER] are refused: a word fivefold longer
-    than order 8 would exhaust memory instead of failing."""
+def check_order(j):
+    """Refuse a recursion order outside [0, MAX_ORDER]: a word fivefold
+    longer than order 8 would exhaust memory instead of failing."""
     if not 0 <= j <= MAX_ORDER:
         raise ValueError(f"order j must lie in [0, {MAX_ORDER}], got {j}")
+
+
+def _recursion(seed, j, inserts, inverse, product):
+    """j steps of W -> W x1 W* x2 W x3 W* x4 W from the seed, with W* the
+    inverse of W: the convergent-search step, :func:`converge.interleave`."""
+    check_order(j)
     w = seed
     for _ in range(j):
         w = interleave(w, inverse(w), inserts, product)

@@ -212,6 +212,7 @@ def test_bad_input_is_one_line_usage_error(argv, capsys):
         ["cost", "--n", "2", "--j", "9"],
         ["simulate", "--scheme", "one-mobile", "--n", "1", "--p", "0.5", "--j", "9"],
         ["simulate", "--scheme", "hierarchical", "--n", "2", "--p", "0.5", "--j", "9"],
+        ["simulate", "--scheme", "hierarchical", "--n", "4", "--p", "0.3", "--j", "1000"],
     ],
 )
 def test_order_above_limit_is_usage_error(argv, capsys):

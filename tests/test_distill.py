@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from fibweave import distill
 from fibweave.chain import Chain, gauge_of
@@ -194,7 +194,11 @@ def test_reference_table_shapes():
             assert run["exchanges"] == entry[f"{route}_exchanges"]
 
 
-@settings(max_examples=5, deadline=None)
+# no shrink phase: each example reruns all 144 shapes, so shrinking phi on a
+# failure would take minutes and name no better counterexample
+@settings(
+    max_examples=5, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate]
+)
 @given(phi=st.floats(0, 2 * np.pi))
 def test_vertex_gauge_change_moves_no_probability(phi):
     """F -> D F D^-1 with D = diag(1, e^{i phi}) and R kept is a gauge
@@ -313,6 +317,20 @@ def test_input_validation():
             distill.monte_carlo("one-mobile", 2, 0.3, 10, 0, j=j, eps=0.1)
         with pytest.raises(ValueError, match="eps applies to the hierarchical"):
             distill.simulate_report("one-mobile", 2, 0.3, j=j, eps=0.5)
+
+
+@pytest.mark.parametrize("j", [-1, 9, 1000])
+def test_hierarchical_order_out_of_range_is_value_error(j):
+    # the hierarchical scheme takes its residual from j without building a
+    # word, so the order is checked there too: no rational from a negative
+    # order, no OverflowError from a huge one
+    match = rf"order j must lie in \[0, 8\], got {j}"
+    with pytest.raises(ValueError, match=match):
+        distill.exact_success("hierarchical", 4, 0.3, j=j)
+    with pytest.raises(ValueError, match=match):
+        distill.monte_carlo("hierarchical", 4, 0.3, 100, 0, j=j)
+    with pytest.raises(ValueError, match=match):
+        distill.simulate_report("hierarchical", 4, 0.3, j=j)
 
 
 def test_closed_form_floors_exact():

@@ -2,6 +2,8 @@
 and expansion to adjacent exchanges."""
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,84 @@ token = st.one_of(
 )
 
 
+RECURSION_WORDS = {
+    "S": lambda j: words.m_word(j, words.SEED_S),
+    "W": lambda j: words.m_word(j, words.SEED_WEAVE),
+    "N": words.n_word,
+}
+
+
+def oracle_compile(word, start):
+    """The per-token walk restated: a fresh Move per unit R power with its
+    kind picked inline, and the closing move "X+ on an exchange state, else
+    L-".  Returns (moves, closing, end state), or None where compile_weave
+    must refuse the word."""
+    s, moves, f_count = start, [], 0
+    for t in reversed(tuple(word)):
+        if t[0] == "F":
+            s = f_toggle(s)
+            f_count += 1
+            continue
+        unit = 1 if t[1] > 0 else -1
+        for _ in range(abs(t[1])):
+            if s in EXCHANGE_STATES:
+                kind = "X+" if unit > 0 else "X-"
+            else:
+                kind = "L-" if unit > 0 else "L+"
+            moves.append(Move(kind, s, R_PARTNER[s]))
+            s = R_PARTNER[s]
+    closing = []
+    if f_count % 3 == 0 and s != start:
+        if R_PARTNER[s] != start:
+            return None
+        closing.append(Move("X+" if s in EXCHANGE_STATES else "L-", s, start))
+        s = start
+    return tuple(moves), tuple(closing), s
+
+
+def assert_compiles_as_oracle(word, start):
+    want = oracle_compile(word, start)
+    if want is None:
+        with pytest.raises(ValueError, match="cannot reach"):
+            compile_weave(word, start)
+        return
+    prog = compile_weave(word, start)
+    assert (prog.moves, prog.closing, prog.end_state) == want
+    assert prog.start == start
+
+
+@pytest.mark.parametrize("name", sorted(RECURSION_WORDS))
+@pytest.mark.parametrize("j", range(5))
+def test_compile_matches_per_token_oracle(name, j):
+    word = RECURSION_WORDS[name](j)
+    for start in STATES:
+        assert_compiles_as_oracle(word, start)
+
+
+@given(st.lists(token, max_size=30), st.sampled_from(STATES))
+@settings(max_examples=80, deadline=None)
+def test_compile_matches_oracle_for_arbitrary_words(word, start):
+    assert_compiles_as_oracle(tuple(word), start)
+
+
+def test_move_table_holds_the_twelve_shared_moves():
+    assert len(weave.MOVE_TABLE) == 12
+    assert len({move for move, _ in weave.MOVE_TABLE.values()}) == 12
+    for (state, _), (move, post) in weave.MOVE_TABLE.items():
+        assert move.pre == state and move.post == post == R_PARTNER[state]
+    kinds = sorted(move.kind for move, _ in weave.MOVE_TABLE.values())
+    assert kinds == ["L+"] * 2 + ["L-"] * 2 + ["X+"] * 4 + ["X-"] * 4
+    # a compiled program reuses the table's instances, which sharing makes
+    # safe only because a Move cannot be changed in place
+    prog = compile_weave(words.m_word(2, words.SEED_WEAVE), ("Nested", "D"))
+    table_moves = [move for move, _ in weave.MOVE_TABLE.values()]
+    assert all(any(m is t for t in table_moves) for m in prog.all_moves())
+    with pytest.raises(FrozenInstanceError):
+        prog.moves[0].kind = "X-"
+    with pytest.raises(FrozenInstanceError):
+        prog.closing[0].pre = ("Pair", "B")
+
+
 @given(st.lists(token, max_size=30), st.sampled_from(STATES))
 @settings(max_examples=80, deadline=None)
 def test_semantics_identity_for_arbitrary_words(word, start):
@@ -217,3 +297,50 @@ def test_invert_program_swaps_endpoints():
     assert inv.closing == ()
     assert inv.move_count == prog.move_count
     assert invert_moves(invert_moves(prog.all_moves())) == prog.all_moves()
+
+
+def oracle_exchanges(moves, left, group1_size, group2_size, variant):
+    """Per-move expansion restated: every move's exchanges worked out anew."""
+    pos = {"B": left, "C": left + group1_size, "D": left + group1_size + group2_size}
+    out = []
+    for move in moves:
+        ccw = move.kind in ("X+", "L+")
+        if variant == 1 and move.kind[0] == "L":
+            ccw = not ccw
+        p, q = pos[move.pre[1]], pos[move.post[1]]
+        out.extend((x, ccw) for x in (range(p - 1, q - 1, -1) if q < p else range(p, q)))
+    return out
+
+
+def _expansion_sources():
+    programs = [
+        compile_weave(words.m_word(2, words.SEED_WEAVE), ("Nested", "D")),
+        compile_weave(words.m_word(1, words.SEED_S), ("Pair", "D")),
+        compile_weave(words.n_word(2), ("Pair", "D")),
+        compile_weave(words.m_word(1, words.SEED_WEAVE), ("Pair", "B")),
+    ]
+    for prog in programs:
+        parsed = program_from_text(program_to_text(prog))
+        # parsed moves equal the table's by value but are other objects
+        assert parsed.all_moves() == prog.all_moves()
+        assert parsed.moves[0] is not prog.moves[0]
+        yield prog
+        yield parsed
+        yield invert_moves(prog)
+    # hand-built moves
+    yield [
+        Move("L-", ("Pair", "B"), ("Nested", "D")),
+        Move("X+", ("Nested", "C"), ("Nested", "B")),
+        Move("X-", ("Nested", "B"), ("Nested", "C")),
+        Move("L+", ("Nested", "D"), ("Pair", "B")),
+    ]
+
+
+@pytest.mark.parametrize("variant", [0, 1])
+@pytest.mark.parametrize("sizes", [(1, 1), (2, 3), (3, 1)])
+@pytest.mark.parametrize("left", [1, 2])
+def test_gadget_exchanges_match_per_move_oracle(left, sizes, variant):
+    for source in _expansion_sources():
+        moves = source.all_moves() if isinstance(source, weave.WeaveProgram) else source
+        got = gadget_exchanges(source, left, *sizes, variant=variant)
+        assert got == oracle_exchanges(moves, left, *sizes, variant)
