@@ -8,7 +8,6 @@ from .converge import (
     converge_pi3,
     general_sequence,
     iconverge,
-    order_estimate,
     xconverge,
 )
 from .words import (

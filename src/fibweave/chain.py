@@ -182,12 +182,23 @@ class Chain:
         self.amps = {k: v for k, v in self.amps.items() if abs(v) > tol}
         return self
 
+    def split_mass(self, pred):
+        """(m, rest): the summed |amplitude|^2 of the basis keys where
+        pred(descriptors, path) holds, and of all others.  A share
+        m / (m + rest) of two partial sums of one state lies in [0, 1]."""
+        m = rest = 0.0
+        for (ch, p), a in self.amps.items():
+            if pred(ch, p):
+                m += abs(a) ** 2
+            else:
+                rest += abs(a) ** 2
+        return float(m), float(rest)
+
     def cut_distribution(self, k):
-        """(P[label 0], P[label 1]) for the path label after object k."""
-        p1 = float(
-            sum(abs(a) ** 2 for (ch, p), a in self.amps.items() if p[k] == 1)
-        )
-        return (self.norm() - p1, p1)
+        """(P[label 0], P[label 1]) for the path label after object k, as
+        shares of this state's mass."""
+        p1, p0 = self.split_mass(lambda ch, p: p[k] == 1)
+        return (p0 / (p0 + p1), p1 / (p0 + p1))
 
     def overlap(self, other):
         return sum(

@@ -1,10 +1,10 @@
 """The paper's central claims, one check each.
 
-:data:`CHECKS` maps a check name to a function of the working precision in
-bits that returns ``passed``, the measured figures and their ``bounds``.
-A result with ``"gating": False`` reports a measurement, not a claimed law.
-``fibweave verify`` and the acceptance tests both call these functions, so
-they report the same figures against the same bounds.
+:data:`CHECKS` maps a check name to a function of no argument that returns
+``passed``, the measured figures and their ``bounds``; high-precision
+figures are taken at 256 bits.  ``fibweave verify`` and the acceptance
+tests both call these functions, so they report the same figures against
+the same bounds.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import chain, converge, distill, model, weave, words
-from .numerics import BigComplex, Mat2, exp_i_pi
+from .numerics import DEFAULT_PRECISION_BITS as BITS, Mat2, exp_i_pi
 
 
 def _rand_unitary_np(rng):
@@ -24,7 +24,7 @@ def _rand_unitary_np(rng):
     return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
 
-def _rand_unitary_big(rng, bits):
+def _rand_unitary_big(rng, bits=BITS):
     """Exactly unitary at full precision: one rotation angle, three phases,
     every entry built from exp_i_pi."""
     th, ph, ps, al = rng.uniform(-1, 1, size=4)
@@ -38,13 +38,6 @@ def _rand_unitary_big(rng, bits):
         -e_al * e_ps.conjugate() * sin_t,
         e_al * e_ph.conjugate() * cos_t,
     )
-
-
-def _big_pow(x, k):
-    out = BigComplex.one(x.precision_bits)
-    for _ in range(k):
-        out = out * x
-    return out
 
 
 def _random_state(rng, charges):
@@ -68,37 +61,42 @@ def _verdict(figures, bounds, holds=True):
     return {"passed": bool(passed), **figures, "bounds": bounds}
 
 
-def constants(bits):
-    """Defining identities of the model constants at working precision."""
-    res = model.make_constants(bits).self_check()
+def constants():
+    """Defining identities of the model constants at 256 bits."""
+    res = model.make_constants(BITS).self_check()
     return _verdict(
         {"residuals": res, "worst_residual": max(res.values())},
-        {"worst_residual": max(1e-50, 2.0 ** -(bits - 40))},
+        {"worst_residual": 1e-50},
     )
 
 
-def lemma1(bits):
-    """Both five-factor entry laws, |W10| = |U10|^5 (iconverge) and
-    |W00| = |U00|^5 (xconverge), on 200 random unitaries in doubles and
-    200 at `bits`."""
-    rng = np.random.default_rng(101)
-    samples = 200
-    laws = ((converge.iconverge, 1, 0), (converge.xconverge, 0, 0))  # |W_rc| = |U_rc|^5
+def _entry_laws(laws, samples, seed):
+    """Entry laws |W_rc| = law(|U_rc|) on `samples` random unitaries in
+    doubles, then as many at 256 bits; `laws` lists (product, r, c, law)."""
+    rng = np.random.default_rng(seed)
     worst_np = 0.0
     for _ in range(samples):
         u = _rand_unitary_np(rng)
-        for law, r, c in laws:
-            worst_np = max(worst_np, abs(abs(law(u)[r, c]) - abs(u[r, c]) ** 5))
+        for product, r, c, law in laws:
+            worst_np = max(worst_np, abs(abs(product(u)[r, c]) - law(abs(u[r, c]))))
     worst_big = 0.0
     for _ in range(samples):
-        u = _rand_unitary_big(rng, bits)
-        for law, r, c in laws:
-            w = law(u).entry(r, c)
-            worst_big = max(worst_big, float(abs(abs(w) - _big_pow(abs(u.entry(r, c)), 5))))
+        u = _rand_unitary_big(rng)
+        for product, r, c, law in laws:
+            w = product(u).entry(r, c)
+            worst_big = max(worst_big, float(abs(abs(w) - law(abs(u.entry(r, c))))))
     return _verdict(
         {"samples": samples, "double_residual": worst_np, "big_residual": worst_big},
-        {"double_residual": 1e-12, "big_residual": max(2.0 ** -(bits - 56), 1e-300)},
+        {"double_residual": 1e-12, "big_residual": 2.0**-200},
     )
+
+
+def lemma1():
+    """Both five-factor entry laws, |W10| = |U10|^5 (iconverge) and
+    |W00| = |U00|^5 (xconverge), on 200 random unitaries."""
+    fifth = lambda x: x**5
+    laws = [(converge.iconverge, 1, 0, fifth), (converge.xconverge, 0, 0, fifth)]
+    return _entry_laws(laws, 200, 101)
 
 
 def _log2(x, prec):
@@ -108,35 +106,39 @@ def _log2(x, prec):
     return exp + bc - 1 if man else -prec
 
 
-def error_laws(bits):
+#: (precision in bits, word orders evaluated at it) for :func:`error_laws`
+ERROR_LAW_ORDERS = ((BITS, (0, 1, 2)), (1024, (3,)), (2048, (4,)))
+
+
+def error_laws():
     """Entry magnitudes of the recursion words against exact tau powers:
     |M00| = tau^-(5^j) (seed S), |M00| = tau^-(2*5^j) (weave seed) and
-    |N10|^2 = tau^-(5^j); orders 0-2 at `bits`, 3 at 4*bits and 4 at 8*bits.
+    |N10|^2 = tau^-(5^j), each order at its precision in ERROR_LAW_ORDERS.
     worst_relative_error underflows to 0.0 below about 1e-308, so the worst
     log2 per order is reported as well and held to the same bound."""
     worst, log2s = 0.0, []
-    for prec, orders in ((bits, (0, 1, 2)), (4 * bits, (3,)), (8 * bits, (4,))):
+    for prec, orders in ERROR_LAW_ORDERS:
         consts = model.make_constants(prec)
         for j in orders:
             errs = []
             for seed, power in ((words.SEED_S, 5**j), (words.SEED_WEAVE, 2 * 5**j)):
                 m = words.evaluate(words.m_word(j, seed), consts)
-                target = 1 / _big_pow(consts.tau, power)
+                target = 1 / consts.tau**power
                 errs.append(abs(abs(m.a00) - target) / target)
             n = words.evaluate(words.n_word(j), consts)
-            target = 1 / _big_pow(consts.tau, 5**j)
+            target = 1 / consts.tau ** 5**j
             errs.append(abs(abs(n.a10) * abs(n.a10) - target) / target)
             worst = max([worst] + [float(e) for e in errs])
             log2s.append(max(_log2(e, prec) for e in errs))
     return _verdict(
-        {"precisions": [bits, 4 * bits, 8 * bits], "worst_relative_error": worst,
+        {"precisions": [prec for prec, _ in ERROR_LAW_ORDERS], "worst_relative_error": worst,
          "worst_log2_relative_error": log2s},
         {"worst_relative_error": 1e-20},
         holds=max(log2s) < math.log2(1e-20),
     )
 
 
-def counts(_bits):
+def counts():
     """Exchange counts 3*5^j - 2 of the order-j words in both alphabets, and
     the alternating strand permutation through order 8."""
     word_counts = [
@@ -174,7 +176,7 @@ def _random_words(rng, count):
     return cases
 
 
-def closure(_bits):
+def closure():
     """The weave machine closes every M-word through order 3 from all six
     starts with at most one closing move, even-order N-words carry Pair,D to
     Nested,D, and the compiled moves multiply out to the word up to a
@@ -206,7 +208,7 @@ def closure(_bits):
     return _verdict(figures, {"semantics_gap": 1e-12}, ok and max_closing <= 1)
 
 
-def chain_oracle(_bits):
+def chain_oracle():
     """Braid relations (Yang-Baxter, far commutation, inverse) on 12 random
     states, Fibonacci state-space dimensions through 16 anyons, and bitwise
     transparency of exchanges with vacuum charges."""
@@ -244,7 +246,7 @@ def chain_oracle(_bits):
     return _verdict(figures, {"algebra_residual": 1e-12}, dims == fib and transparent)
 
 
-def distillation(_bits):
+def distillation():
     """The order-1 addition gadget lifts the cut probability of two
     nontrivial pairs to 1 - tau^-20; the physical and composite protocol
     routes agree; the perfect-gadget floor at n=2, p=1/2 is 9/16."""
@@ -269,19 +271,19 @@ def distillation(_bits):
     return _verdict(figures, bounds, floor == Fraction(9, 16))
 
 
-def conjectures(_bits):
-    """Fitted suppression orders of the general odd-order sequence.  The
-    k = 1 and k = 2 fits must match orders 3 and 5; the k = 3 fit is
-    reported only, and the check never gates an aggregate verdict."""
-    reports = [converge.order_estimate(k) for k in (1, 2, 3)]
-    slopes = [r["offdiagonal"]["slope"] for r in reports]
-    targets = [r["target_order"] for r in reports]
-    figures = {
-        "slopes": slopes,
-        "target_orders": targets,
-        "fit_error_k1_k2": max(abs(s - t) for s, t in zip(slopes[:2], targets)),
-    }
-    return {**_verdict(figures, {"fit_error_k1_k2": 0.1}), "gating": False}
+def conjectures():
+    """The odd-order family |W10| = |U10|^(2k+1) of general_sequence for
+    k = 1-5, |W00| = |U00|^3 of converge_pi3 and |W00| = |4x^3 - 3x| with
+    x = |U00| of amplify, on 50 random unitaries."""
+    laws = [
+        (lambda u, k=k: converge.general_sequence(u, k), 1, 0, lambda x, n=2 * k + 1: x**n)
+        for k in range(1, 6)
+    ]
+    laws += [
+        (converge.converge_pi3, 0, 0, lambda x: x**3),
+        (converge.amplify, 0, 0, lambda x: abs(4 * x**3 - 3 * x)),
+    ]
+    return _entry_laws(laws, 50, 102)
 
 
 CHECKS = {

@@ -2,39 +2,16 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid usage,
 3 planning errors (layouts or gadget orders that cannot be scheduled).
-The working precision for verification suites can be set with the
-FIBWEAVE_PRECISION environment variable (bits, >= 128).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
 from . import chain, checks, distill, weave, words
-from .numerics import DEFAULT_PRECISION_BITS
-
-#: lowest working precision at which every gating check can pass: the
-#: fixed error-law bound needs about 104 bits
-MIN_VERIFY_BITS = 128
-
-
-def _precision_from_env():
-    raw = os.environ.get("FIBWEAVE_PRECISION")
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        print(f"FIBWEAVE_PRECISION must be an integer, got {raw!r}", file=sys.stderr)
-        sys.exit(2)
-    if bits < MIN_VERIFY_BITS:
-        print(f"FIBWEAVE_PRECISION must be >= {MIN_VERIFY_BITS}, got {bits}", file=sys.stderr)
-        sys.exit(2)
-    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +66,6 @@ def _cmd_compile(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args):
-    bits = _precision_from_env()
     if args.suite == "all":
         names = list(checks.CHECKS)
     elif args.suite in checks.CHECKS:
@@ -102,23 +78,18 @@ def _cmd_verify(args):
         )
         return 2
     results = {}
-    aggregate = True
     for name in names:
         t0 = time.perf_counter()
-        res = checks.CHECKS[name](bits)
+        res = checks.CHECKS[name]()
         res["seconds"] = time.perf_counter() - t0
         results[name] = res
-        if res.get("gating", True):
-            aggregate &= res["passed"]
-    payload = {"precision_bits": bits, "aggregate_passed": aggregate, "suites": results}
+    aggregate = all(res["passed"] for res in results.values())
+    payload = {"aggregate_passed": aggregate, "suites": results}
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, default=float))
     else:
         for name, res in results.items():
-            tag = "PASS" if res["passed"] else "FAIL"
-            if not res.get("gating", True):
-                tag = "INFO"
-            print(f"{tag} {name}")
+            print(f"{'PASS' if res['passed'] else 'FAIL'} {name}")
         print(f"{'PASS' if aggregate else 'FAIL'} aggregate")
     return 0 if aggregate else 1
 

@@ -101,7 +101,8 @@ def plan_one_mobile(n_left, n_right, j, jN=None):
     plan of those orders, so window blocks built by one run serve the next.
 
     The schedule: carry the star leftward across every pair (all transits
-    are through vacuum-total pairs and act trivially), then per pair from
+    are through vacuum-total pairs: physically trivial, though in the path
+    basis they relabel the fusion path), then per pair from
     left to right: transit onto it, run the addition gadget, and if the
     pair is not the first on its side, integrate it with the side's
     composite web.  Finish by integrating the left web with the right web
@@ -116,8 +117,7 @@ def plan_one_mobile(n_left, n_right, j, jN=None):
             f"{n_left} pairs left and {n_right} right need {total_anyons} anyons, "
             f"over the protocol limit of {MAX_PROTOCOL_ANYONS}"
         )
-    if j < 0:
-        raise PlanningError(f"gadget order j must be >= 0, got {j}")
+    check_order(j)
     if jN is None:
         jN = round_up_to_even(j)
     require_even_order(jN)
@@ -273,21 +273,23 @@ class _Executor:
         Success is the mass of a joint charge 0 formed from two charge-1
         composites: per internal sector, the amplitude sum_l F[0, l] amp(l)
         over the label l between the composites.  The left marginal
-        P[left composite = 1] and the norm are read before the merge.
+        P[left composite = 1] and the norm are read before the merge.  Both
+        probabilities are shares of the mass of the state they are summed
+        from, so they lie in [0, 1] although the norm drifts from 1.
         """
         for side in ("L", "R"):
             self.form({("web", side)}, ("final", side), fold=True)
-        marginal = sum(abs(a) ** 2 for (ch, _p), a in self.state.amps.items() if root(ch[1]) == 1)
-        norm = self.state.norm()
-        joint = 0.0
-        for (ch, _p), a in self.state.merge(2).amps.items():
+
+        def success(ch, _p):
             g, (d_left, d_right) = ch[1]
-            if g == 0 and root(d_left) == root(d_right) == 1:
-                joint += abs(a) ** 2
+            return g == 0 and root(d_left) == root(d_right) == 1
+
+        marginal, rest = self.state.split_mass(lambda ch, _p: root(ch[1]) == 1)
+        joint, other = self.state.merge(2).split_mass(success)
         return {
-            "probability": joint,
-            "marginal_left": float(marginal),
-            "norm": norm,
+            "probability": joint / (joint + other),
+            "marginal_left": marginal / (marginal + rest),
+            "norm": self.state.norm(),
             "exchanges": self.exchanges,
         }
 

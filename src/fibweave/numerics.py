@@ -125,6 +125,13 @@ class BigComplex:
     __mul__ = __rmul__ = _operator(mpc_mul)
     __truediv__, __rtruediv__ = _operator(mpc_div), _operator(mpc_div, reflected=True)
 
+    def __pow__(self, k):
+        """z**k for an int k >= 0, as k products taken left to right."""
+        out = BigComplex.one(self.precision_bits)
+        for _ in range(k):
+            out = out * self
+        return out
+
     def __neg__(self):
         return BigComplex(mpf_neg(self.re), mpf_neg(self.im), self.precision_bits)
 

@@ -1,9 +1,12 @@
 """Path-basis simulator: braid relations, transparency, merging."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from fibweave import weave, words
 from fibweave.chain import Chain, is_admissible, paths_for, root
 from fibweave.checks import _gap, _random_state
 from fibweave.model import F_NP, R_NP
@@ -219,6 +222,22 @@ def test_cut_distribution():
     p0, p1 = st.cut_distribution(2)
     assert p0 + p1 == pytest.approx(1.0)
     assert p1 == pytest.approx(abs((F_NP @ R_NP @ F_NP)[1, 0]) ** 2, abs=1e-13)
+
+
+def test_cut_distribution_lies_in_unit_interval():
+    # the order-3 M-gadgets of both seeds from all six starts, both loop
+    # variants and all four pair assignments, cut after every object: 480
+    # cases whose norm drifts above 1 by up to 3.6e-15
+    for seed in (words.SEED_S, words.SEED_WEAVE):
+        word = words.m_word(3, seed)
+        for start in weave.STATES:
+            program = weave.compile_weave(word, start)
+            for variant in (0, 1):
+                exchanges = weave.gadget_exchanges(program, 2, variant=variant)
+                for charges in itertools.product((0, 1), repeat=2):
+                    st = Chain.init_pairs(charges).apply_exchanges(exchanges)
+                    for k in range(5):
+                        assert all(0 <= p <= 1 for p in st.cut_distribution(k)), (start, k)
 
 
 def test_prune_drops_negligible_terms():

@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fibweave import cli
+from fibweave import checks, cli, converge
 
 
 def run(argv, capsys):
@@ -79,10 +83,28 @@ def test_verify_single_suite_text(capsys):
     assert "PASS aggregate" in out
 
 
-def test_verify_soft_suite_reported_as_info(capsys):
-    code, out, _ = run(["verify", "--suite", "conjectures"], capsys)
+@pytest.mark.parametrize("name", list(checks.CHECKS))
+def test_verify_suite_passes(name, capsys):
+    code, out, _ = run(["verify", "--suite", name], capsys)
     assert code == 0
-    assert "INFO conjectures" in out
+    assert f"PASS {name}" in out
+
+
+def test_verify_fails_on_a_moved_phase(capsys, monkeypatch):
+    # move the first phase of the k = 3 odd-order product, the only one
+    # with six inserts, by 1/(2k+1)
+    prepare = converge._prepare
+
+    def moved(u, fracs):
+        if len(fracs) == 6:
+            fracs = [fracs[0] + Fraction(1, 7), *fracs[1:]]
+        return prepare(u, fracs)
+
+    monkeypatch.setattr(converge, "_prepare", moved)
+    assert checks.conjectures()["passed"] is False
+    code, out, _ = run(["verify", "--suite", "conjectures"], capsys)
+    assert code == 1
+    assert "FAIL conjectures" in out and "FAIL aggregate" in out
 
 
 def test_verify_json_payload(capsys):
@@ -95,38 +117,6 @@ def test_verify_json_payload(capsys):
     assert payload["suites"]["closure"]["passed"] is True
     assert payload["suites"]["closure"]["bounds"]["semantics_gap"] == 1e-12
     assert payload["suites"]["closure"]["seconds"] > 0
-    assert payload["precision_bits"] == 256
-
-
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("FIBWEAVE_PRECISION", "128")
-    code, out, _ = run(
-        ["verify", "--suite", "counts", "--format", "json"], capsys
-    )
-    assert code == 0
-    assert json.loads(out)["precision_bits"] == 128
-
-
-def test_precision_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("FIBWEAVE_PRECISION", "abc")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "counts"])
-    assert exc.value.code == 2
-    monkeypatch.setenv("FIBWEAVE_PRECISION", "12")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "counts"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("bits", ["53", "127"])
-def test_precision_below_verify_floor_is_usage_error(bits, capsys, monkeypatch):
-    monkeypatch.setenv("FIBWEAVE_PRECISION", bits)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "counts"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_compile_unwritable_output_is_usage_error(capsys, tmp_path):
@@ -213,12 +203,51 @@ def test_bad_input_is_one_line_usage_error(argv, capsys):
         ["simulate", "--scheme", "one-mobile", "--n", "1", "--p", "0.5", "--j", "9"],
         ["simulate", "--scheme", "hierarchical", "--n", "2", "--p", "0.5", "--j", "9"],
         ["simulate", "--scheme", "hierarchical", "--n", "4", "--p", "0.3", "--j", "1000"],
+        ["simulate", "--scheme", "one-mobile", "--n", "1", "--p", "0.5", "--j", "-1"],
     ],
 )
 def test_order_above_limit_is_usage_error(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "order j must lie in [0, 8]" in err and err.count("\n") == 1
+
+
+#: (in range, out of range) values of each fuzzed argument
+FUZZED = {
+    "n": (st.integers(1, 8), st.integers(-2, 0)),
+    "j": (st.integers(0, 2), st.sampled_from([-2, -1, 9, 1000])),
+    "p": (st.floats(0, 1), st.sampled_from([-0.5, 1.5, math.nan, math.inf])),
+    "trials": (st.integers(0, 1000), st.just(-1)),
+    "seed": (st.integers(0, 2**64), st.just(-1)),
+}
+
+
+@st.composite
+def simulate_or_cost_argv(draw):
+    """simulate or cost arguments with up to two of them out of range.
+    One-mobile orders above 2 are only ones the order check refuses, and
+    only layouts of at most 4 pairs per side sample trials."""
+    broken = draw(st.sets(st.sampled_from(sorted(FUZZED)), max_size=2))
+    v = {name: draw(FUZZED[name][name in broken]) for name in FUZZED}
+    if draw(st.booleans()):
+        return ["cost", "--n", str(v["n"]), "--j", str(v["j"])]
+    scheme = draw(st.sampled_from(["one-mobile", "hierarchical"]))
+    gadget = draw(st.sampled_from([["--j", str(v["j"])], ["--perfect-gadgets"], ["--eps", "0.1"],
+                                   ["--j", str(v["j"]), "--eps", "0.2"], []]))
+    trials = v["trials"] if v["n"] <= 4 else 0
+    return ["simulate", "--scheme", scheme, "--n", str(v["n"]), "--p", str(v["p"]), *gadget,
+            "--trials", str(trials), "--seed", str(v["seed"])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(simulate_or_cost_argv())
+def test_exit_codes_under_argument_fuzzing(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err and err.count("\n") <= 1, (argv, err)
 
 
 def test_simulate_power_of_two_enforced(capsys):

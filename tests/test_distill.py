@@ -58,14 +58,14 @@ REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json
 ROUTES = ("physical", "composite")
 
 
-def reference_shapes():
+def reference_shapes(max_j=1):
     """(left, right, j, frozen entry) for every key of the benchmark's
-    frozen table at j <= 1."""
+    frozen table at j <= max_j."""
     with open(REFERENCE) as f:
         entries = json.load(f)["entries"]
     for key, entry in entries.items():
         left, right, j = key.split("/")
-        if int(j[1:]) <= 1:
+        if int(j[1:]) <= max_j:
             yield tuple(map(int, left)), tuple(map(int, right)), int(j[1:]), entry
 
 
@@ -151,7 +151,7 @@ def test_plan_rejections():
         distill.plan_one_mobile(5, 5, 1)   # 22 anyons
     with pytest.raises(PlanningError):
         distill.plan_one_mobile(0, 1, 1)
-    with pytest.raises(PlanningError):
+    with pytest.raises(ValueError, match=r"order j must lie in \[0, 8\]"):
         distill.plan_one_mobile(1, 1, -1)
     with pytest.raises(PlanningError):
         distill.plan_one_mobile(1, 1, 1, jN=1)  # odd integration order
@@ -192,6 +192,17 @@ def test_reference_table_shapes():
             run = runs[left, right, j, route]
             assert abs(run["probability"] - entry[route]) <= 1e-12, (left, right, j, route)
             assert run["exchanges"] == entry[f"{route}_exchanges"]
+
+
+def test_reported_probabilities_lie_in_unit_interval():
+    # every frozen shape at j <= 2 on both routes and at j = 3 on the
+    # composite route, where the norm drifts from 1 by up to 1e-13: each
+    # figure is a share of the mass of the state it is summed from
+    for left, right, j, _entry in reference_shapes(max_j=3):
+        for route in ROUTES if j <= 2 else ("composite",):
+            run = distill.run_end_to_end(left, right, j, route=route)
+            for figure in ("probability", "marginal_left"):
+                assert 0 <= run[figure] <= 1, (left, right, j, route, figure)
 
 
 # no shrink phase: each example reruns all 144 shapes, so shrinking phi on a
