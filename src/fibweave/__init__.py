@@ -22,7 +22,6 @@ from .words import (
     word_permutation,
 )
 from .weave import (
-    ACCEPTED_LOOP_ISOTOPY,
     WeaveProgram,
     compile_weave,
     gadget_exchanges,

@@ -27,6 +27,9 @@ from .model import F_NP, R_NP, fuse
 
 Gauge = namedtuple("Gauge", "f ccw cw")
 
+#: Amplitudes at or below this magnitude are dropped by :meth:`Chain.prune`.
+PRUNE_TOL = 1e-18
+
 
 def gauge_of(f, r):
     """The :class:`Gauge` of 2x2 arrays F and R (counterclockwise), all Python
@@ -178,8 +181,8 @@ class Chain:
     def norm(self):
         return float(sum(abs(a) ** 2 for a in self.amps.values()))
 
-    def prune(self, tol=1e-300):
-        self.amps = {k: v for k, v in self.amps.items() if abs(v) > tol}
+    def prune(self):
+        self.amps = {k: v for k, v in self.amps.items() if abs(v) > PRUNE_TOL}
         return self
 
     def split_mass(self, pred):

@@ -44,7 +44,6 @@ def _cmd_compile(args):
             "moves": [m.kind for m in program.moves],
             "closing": [m.kind for m in program.closing],
             "metrics": metrics,
-            "accepted_isotopy": weave.ACCEPTED_LOOP_ISOTOPY,
         }
         if args.generators:
             payload["generators"] = [[pos, "ccw" if ccw else "cw"] for pos, ccw in gens]
@@ -148,14 +147,11 @@ def _cmd_chain_run(args):
         except OSError as exc:
             print(f"error: cannot read {args.program}: {exc.strerror}", file=sys.stderr)
             return 2
-    program = weave.program_from_text(text)
+    exchanges = weave.gadget_exchanges(weave.program_from_text(text), 2)
     print("assignment,prob0,prob1")
     for c1 in (0, 1):
         for c2 in (0, 1):
-            st = chain.Chain.init_pairs([c1, c2])
-            st = st.apply_exchanges(
-                weave.gadget_exchanges(program, 2, 1, 1, variant=args.variant)
-            )
+            st = chain.Chain.init_pairs([c1, c2]).apply_exchanges(exchanges)
             p0, p1 = st.cut_distribution(2)
             print(f"{c1}{c2},{p0:.12f},{p1:.12f}")
     return 0
@@ -204,7 +200,6 @@ def main(argv=None):
 
     p = sub.add_parser("chain-run", help="run a weave program over pair assignments")
     p.add_argument("program", nargs="?", help="program file ('-' or absent: stdin)")
-    p.add_argument("--variant", type=int, choices=[0, 1], default=0)
     p.set_defaults(func=_cmd_chain_run)
 
     args = parser.parse_args(argv)

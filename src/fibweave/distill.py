@@ -42,12 +42,7 @@ import numpy as np
 
 from .chain import Chain, WindowMap, root
 from .model import TAU_F
-from .weave import (
-    ACCEPTED_LOOP_ISOTOPY,
-    compile_weave,
-    gadget_exchanges,
-    invert_program,
-)
+from .weave import compile_weave, gadget_exchanges, invert_program
 from .words import (
     SEED_WEAVE, check_order, generator_braid_count, generator_word, m_word, n_word,
 )
@@ -142,7 +137,6 @@ def plan_one_mobile(n_left, n_right, j, jN=None):
         "gadgets": gadgets,
         "schedule": schedule,
         "add_exchanges": len(gadgets["add"][1].exchanges),
-        "accepted_isotopy": ACCEPTED_LOOP_ISOTOPY,
     }
 
 
@@ -237,7 +231,7 @@ class _Executor:
         i0, m = self._extent(tags)
         if fold:
             for _ in range(m - 1):
-                self.state = self.state.merge(i0 + 1).prune()
+                self.state = self.state.merge(i0 + 1)
         self.tags[i0:i0 + m] = [tag] * (1 if fold else m)
 
     def execute(self):
@@ -261,7 +255,7 @@ class _Executor:
                 self.run_gadget("inverse", ("web", "L"), ("web", "R"))
             else:
                 raise AssertionError(f"unknown op {op}")
-            self.state.prune(1e-18)
+            self.state.prune()
         return self
 
     # -- readout ---------------------------------------------------
@@ -316,7 +310,6 @@ def run_end_to_end(assign_left, assign_right, j, jN=None, route="physical"):
             "jN": plan["jN"],
             "assign_left": tuple(assign_left),
             "assign_right": tuple(assign_right),
-            "accepted_isotopy": ACCEPTED_LOOP_ISOTOPY,
             "add_exchanges": plan["add_exchanges"],
         }
     )

@@ -17,8 +17,11 @@ the basis flag only.  Each unit R demand emits one move:
 Exchange states and loop states partition the six machine states; which
 move kind realises a unit R power is forced by the state class.  Every move
 sends the state to its R-partner.  The machine therefore has twelve moves,
-one per state and handedness; MOVE_TABLE builds them once, at import, and
-every compiled program shares them.
+one per state and handedness.  MOVE_TABLE builds them once, at import, and
+is the only statement of these rules: the compiler, parser, inverter and
+expander all read it and share its instances.  Each move expands to adjacent
+exchanges of its own handedness (X+ and L+ ccw), so a loop is cut into two
+same-handed exchanges; the opposite cut of the loops fails end to end.
 
 Execution order runs through the word right to left (the rightmost factor
 acts first on a ket), and the true matrix of each move equals the demanded
@@ -55,12 +58,6 @@ MOVE_KINDS = ("X+", "X-", "L+", "L-")
 
 # each move equals e^{i pi/5 * phase_exponent} times the demanded R^{+-1}
 PHASE_EXPONENT = {"X+": 0, "X-": 0, "L-": 4, "L+": -4}
-
-#: Resolution of the loop-decomposition choice: a ccw loop of the star
-#: around an adjacent group is realised as two ccw adjacent exchanges
-#: (and a cw loop as two cw exchanges).  The alternative handedness is
-#: available as variant 1 for comparison and fails end-to-end checks.
-ACCEPTED_LOOP_ISOTOPY = "loop = two same-handed adjacent exchanges (variant 0)"
 
 
 def f_toggle(state):
@@ -110,6 +107,10 @@ def _table_entry(state, unit):
 #: state) for the 6 states and the unit R powers +1 and -1.  Move is
 #: frozen, so every compiled program shares these instances.
 MOVE_TABLE = {(s, u): _table_entry(s, u) for s in STATES for u in (1, -1)}
+
+#: (pre-state, kind) -> (move, the unit R power it realises), for the parser
+#: and the inverter.
+_BY_PRE_KIND = {(m.pre, m.kind): (m, u) for (_s, u), (m, _post) in MOVE_TABLE.items()}
 
 
 def _walk(word, start):
@@ -204,7 +205,7 @@ def _parse_state(text):
     return _check_state((parts[0].strip(), parts[1].strip()))
 
 
-def program_to_text(program, annotate=True):
+def program_to_text(program):
     """Render a program in the plain-text exchange format.
 
     One move kind per line; `#@` lines carry the pre-state of the next
@@ -213,14 +214,9 @@ def program_to_text(program, annotate=True):
     """
     lines = [f"start={_state_str(program.start)}"]
     for move in program.moves:
-        if annotate:
-            lines.append(f"#@ {_state_str(move.pre)}")
-        lines.append(move.kind)
+        lines += [f"#@ {_state_str(move.pre)}", move.kind]
     for move in program.closing:
-        lines.append("#! closing")
-        if annotate:
-            lines.append(f"#@ {_state_str(move.pre)}")
-        lines.append(move.kind)
+        lines += ["#! closing", f"#@ {_state_str(move.pre)}", move.kind]
     lines.append(f"end={_state_str(program.end_state)}")
     return "\n".join(lines) + "\n"
 
@@ -229,13 +225,15 @@ def program_from_text(text):
     """Parse the plain-text format back into a WeaveProgram.
 
     State annotations are used when present.  Without them the pre-states
-    are inferred where the move kinds force them; an exchange move from
-    slot C is consistent with two different machine states, so genuinely
-    ambiguous inputs raise instead of guessing.
+    are inferred where the move kinds force them: a kind is legal from a
+    state, or from its F toggle, when the move table holds it there.  An
+    exchange move from slot C is consistent with two different machine
+    states, so genuinely ambiguous inputs raise instead of guessing.  The
+    moves returned are the table's own instances.
     """
     start = None
     end_decl = None
-    tokens = []  # (kind, annotated_pre_or_None, closing_flag)
+    tokens = []  # (kind, #@ pre-state or None, closing flag)
     pending_pre = None
     closing_flag = False
     for raw in text.splitlines():
@@ -263,39 +261,33 @@ def program_from_text(text):
     for attempt_start in sorted(candidates):
         states = {attempt_start}
         trace = []
-        ok = True
         for kind, pre_ann, _ in tokens:
-            wanted = EXCHANGE_STATES if kind.startswith("X") else LOOP_STATES
-            pres = set()
-            for s in states:
-                for c in (s, f_toggle(s)):
-                    if c in wanted:
-                        pres.add(c)
-            if pre_ann is not None:
-                pres &= {pre_ann}
-            if not pres:
-                ok = False
+            found = {
+                _BY_PRE_KIND[c, kind][0]
+                for s in states
+                for c in (s, f_toggle(s))
+                if (c, kind) in _BY_PRE_KIND and pre_ann in (None, c)
+            }
+            if not found:
                 break
-            trace.append(pres)
-            states = {R_PARTNER[s] for s in pres}
-        if not ok:
-            continue
-        if any(len(p) > 1 for p in trace):
-            raise ValueError(
-                "ambiguous program: an exchange from slot C matches two states; "
-                "add #@ state annotations"
-            )
-        if resolved is not None:
-            raise ValueError("ambiguous program: start state is not determined")
-        resolved = (attempt_start, [next(iter(p)) for p in trace])
+            trace.append(found)
+            states = {m.post for m in found}
+        else:
+            if any(len(f) > 1 for f in trace):
+                raise ValueError(
+                    "ambiguous program: an exchange from slot C matches two states; "
+                    "add #@ state annotations"
+                )
+            if resolved is not None:
+                raise ValueError("ambiguous program: start state is not determined")
+            resolved = (attempt_start, [next(iter(f)) for f in trace])
     if resolved is None:
         raise ValueError("no consistent machine state sequence for this program")
-    start, pres = resolved
+    start, found = resolved
     moves, closing = [], []
-    for (kind, _, is_closing), pre in zip(tokens, pres):
-        mv = Move(kind, pre, R_PARTNER[pre])
+    for (_kind, _, is_closing), mv in zip(tokens, found):
         (closing if is_closing else moves).append(mv)
-    last = moves[-1].post if (moves and not closing) else (closing[-1].post if closing else start)
+    last = found[-1].post if found else start
     end = end_decl if end_decl is not None else last
     if end not in (last, f_toggle(last)):
         raise ValueError(f"declared end state {end} unreachable from {last}")
@@ -306,28 +298,24 @@ def program_from_text(text):
 # Expansion to adjacent elementary exchanges
 # ---------------------------------------------------------------------------
 
-def gadget_exchanges(moves, left, group1_size=1, group2_size=1, variant=0):
+def gadget_exchanges(moves, left, group1_size=1, group2_size=1):
     """Expand moves to adjacent-exchange positions for a star weaving
     through two groups.
 
     The first group occupies slots [left, left+group1_size) and the second
     follows it.  Star positions by slot: B = left, C = left+group1_size,
     D = left+group1_size+group2_size.  A move from position p to q emits
-    the exchanges that carry the star there one step at a time; with the
-    accepted isotopy (variant 0) the handedness of every emitted exchange
-    matches the move's own (X+/L+ ccw, X-/L- cw), and variant 1 flips the
-    handedness of loop moves only.
+    the exchanges that carry the star there one step at a time, each of the
+    move's own handedness (X+/L+ ccw, X-/L- cw).
 
     Accepts a WeaveProgram (expands moves plus closing) or any iterable of
     Move.  Returns a list of (position, ccw) pairs, 1-indexed as in the
     chain simulator.  Each distinct (kind, pre slot, post slot) is expanded
-    once per call, keyed by value, so parsed, inverted and hand-built moves
-    expand as table moves do.
+    once per call, keyed by value, so hand-built moves expand as table moves
+    do.
     """
     if isinstance(moves, WeaveProgram):
         moves = moves.all_moves()
-    if variant not in (0, 1):
-        raise ValueError(f"variant must be 0 or 1, got {variant}")
     pos = {
         "B": left,
         "C": left + group1_size,
@@ -340,8 +328,6 @@ def gadget_exchanges(moves, left, group1_size=1, group2_size=1, variant=0):
         run = runs.get(key)
         if run is None:
             ccw = move.kind in ("X+", "L+")
-            if variant == 1 and move.kind.startswith("L"):
-                ccw = not ccw
             p, q = pos[key[1]], pos[key[2]]
             steps = range(p - 1, q - 1, -1) if q < p else range(p, q)
             run = runs[key] = [(x, ccw) for x in steps]
@@ -350,11 +336,11 @@ def gadget_exchanges(moves, left, group1_size=1, group2_size=1, variant=0):
 
 
 def invert_moves(moves):
-    """Reverse a move list and flip every handedness."""
+    """Reverse a move list and flip every handedness: each move becomes the
+    table's move from its post-state with the opposite unit R power."""
     if isinstance(moves, WeaveProgram):
         moves = moves.all_moves()
-    inv = {"X+": "X-", "X-": "X+", "L+": "L-", "L-": "L+"}
-    return tuple(Move(inv[m.kind], m.post, m.pre) for m in reversed(moves))
+    return tuple(MOVE_TABLE[m.post, -_BY_PRE_KIND[m.pre, m.kind][1]][0] for m in reversed(moves))
 
 
 def invert_program(program):

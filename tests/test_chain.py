@@ -9,7 +9,7 @@ import pytest
 from fibweave import weave, words
 from fibweave.chain import Chain, is_admissible, paths_for, root
 from fibweave.checks import _gap, _random_state
-from fibweave.model import F_NP, R_NP
+from fibweave.model import F_NP, R_NP, TAU_F
 
 
 def _close(a, b, tol=1e-12):
@@ -224,16 +224,38 @@ def test_cut_distribution():
     assert p1 == pytest.approx(abs((F_NP @ R_NP @ F_NP)[1, 0]) ** 2, abs=1e-13)
 
 
+def flipped_loop_exchanges(program, left):
+    """The program expanded move by move, with the exchanges of every loop
+    move taken in the opposite handedness: the rejected cut of a loop."""
+    return [
+        (pos, ccw != (move.kind[0] == "L"))
+        for move in program.all_moves()
+        for pos, ccw in weave.gadget_exchanges([move], left)
+    ]
+
+
+def test_only_same_handed_loop_cut_distills():
+    # the order-1 add gadget from (Pair, D) on two nontrivial pairs
+    program = weave.compile_weave(words.m_word(1, words.SEED_WEAVE), ("Pair", "D"))
+    init = Chain.init_pairs([1, 1])
+    p1 = init.apply_exchanges(weave.gadget_exchanges(program, 2)).cut_distribution(2)[1]
+    assert abs(p1 - (1 - TAU_F**-20)) < 1e-12
+    flipped = init.apply_exchanges(flipped_loop_exchanges(program, 2)).cut_distribution(2)[1]
+    assert flipped < 1e-6
+
+
 def test_cut_distribution_lies_in_unit_interval():
-    # the order-3 M-gadgets of both seeds from all six starts, both loop
-    # variants and all four pair assignments, cut after every object: 480
+    # the order-3 M-gadgets of both seeds from all six starts, both cuts of
+    # the loops and all four pair assignments, cut after every object: 480
     # cases whose norm drifts above 1 by up to 3.6e-15
     for seed in (words.SEED_S, words.SEED_WEAVE):
         word = words.m_word(3, seed)
         for start in weave.STATES:
             program = weave.compile_weave(word, start)
-            for variant in (0, 1):
-                exchanges = weave.gadget_exchanges(program, 2, variant=variant)
+            for exchanges in (
+                weave.gadget_exchanges(program, 2),
+                flipped_loop_exchanges(program, 2),
+            ):
                 for charges in itertools.product((0, 1), repeat=2):
                     st = Chain.init_pairs(charges).apply_exchanges(exchanges)
                     for k in range(5):
@@ -242,5 +264,5 @@ def test_cut_distribution_lies_in_unit_interval():
 
 def test_prune_drops_negligible_terms():
     st = Chain({((1, 1), (0, 1, 0)): 1.0, ((1, 1), (0, 1, 1)): 1e-320})
-    st.prune(1e-300)
+    st.prune()
     assert list(st.amps) == [((1, 1), (0, 1, 0))]

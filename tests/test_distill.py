@@ -457,6 +457,18 @@ def test_monte_carlo_gadget_level():
     assert distill.monte_carlo("one-mobile", n, p, trials, seed, j=0)["successes"] == expected
 
 
+def test_monte_carlo_draws_from_exactly_the_class_table():
+    # an asymmetric table, so that a transposed or rescaled lookup fails
+    n, p, trials, seed = 3, 0.4, 20000, 9
+    table = {(kl, kr): (kl + 3 * kr) / 13 for kl in range(1, n + 1) for kr in range(1, n + 1)}
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    left = (rng.random((trials, n)) < p).sum(axis=1)
+    right = (rng.random((trials, n)) < p).sum(axis=1)
+    u = rng.random(trials)
+    expected = sum(u[t] < table.get((left[t], right[t]), 0.0) for t in range(trials))
+    assert distill._sample("one-mobile", n, p, trials, seed, table)["successes"] == expected
+
+
 def test_monte_carlo_rejects_bad_layout():
     with pytest.raises(PlanningError):
         distill.monte_carlo("hierarchical", 3, 0.5, 10, 0)

@@ -1,0 +1,70 @@
+"""Gauge mutants that `verify` must catch.
+
+Each mutant reads F with the wrong index order, or conjugates the window
+blocks.  The standard F is real and symmetric, so only the gauged reruns of
+the `distill` check can expose them; each must make `verify --suite distill`
+exit 1, and the unpatched tree must exit 0."""
+from __future__ import annotations
+
+import pytest
+
+from fibweave import cli, distill
+from fibweave.chain import Chain, WindowMap
+
+
+def transposed(gauge):
+    return gauge._replace(f=tuple(zip(*gauge.f)))
+
+
+def merge_reads_f_xg(mp):
+    merge = Chain.merge
+
+    def mutant(self, i):
+        self.gauge = transposed(Chain.gauge)
+        return merge(self, i)
+
+    mp.setattr(Chain, "merge", mutant)
+
+
+def init_reads_f_0x(mp):
+    init = distill.init_protocol_state
+
+    def mutant(assign):
+        saved = Chain.gauge
+        Chain.gauge = transposed(saved)
+        try:
+            return init(assign)
+        finally:
+            Chain.gauge = saved
+
+    mp.setattr(distill, "init_protocol_state", mutant)
+
+
+def window_blocks_conjugated(mp):
+    build = WindowMap._build
+
+    def mutant(self, roots, l0, l3):
+        return {
+            ab: tuple((x, y, c.conjugate()) for x, y, c in rows)
+            for ab, rows in build(self, roots, l0, l3).items()
+        }
+
+    mp.setattr(WindowMap, "_build", mutant)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [None, merge_reads_f_xg, init_reads_f_0x, window_blocks_conjugated],
+    ids=lambda m: getattr(m, "__name__", "unpatched"),
+)
+def test_verify_distill_catches_gauge_mutants(mutate, capsys):
+    distill._gadgets.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            if mutate is not None:
+                mutate(mp)
+            code = cli.main(["verify", "--suite", "distill"])
+    finally:
+        distill._gadgets.cache_clear()
+    capsys.readouterr()
+    assert code == (0 if mutate is None else 1)

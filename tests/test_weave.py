@@ -2,14 +2,16 @@
 and expansion to adjacent exchanges."""
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibweave import weave, words
+from fibweave import cli, weave, words
 from fibweave.checks import _random_state
 from fibweave.model import R_NP
 from fibweave.weave import (
@@ -224,18 +226,23 @@ def test_text_roundtrip_annotated():
     assert text.rstrip().endswith("end=Nested,D")
 
 
+def unannotated(text):
+    """The text format with its `#@` state annotations stripped."""
+    return "".join(line for line in text.splitlines(True) if not line.startswith("#@"))
+
+
 def test_text_unannotated_resolves_when_forced():
     # a lone loop move is unambiguous once the start is known
     prog = compile_weave((("R", 1),), ("Pair", "B"))
     assert [m.kind for m in prog.moves] == ["L-"]
-    back = program_from_text(program_to_text(prog, annotate=False))
+    back = program_from_text(unannotated(program_to_text(prog)))
     assert back.moves == prog.moves
 
 
 def test_text_unannotated_slot_c_is_ambiguous():
     prog = compile_weave(words.m_word(0, words.SEED_WEAVE), ("Nested", "D"))
     with pytest.raises(ValueError, match="ambiguous"):
-        program_from_text(program_to_text(prog, annotate=False))
+        program_from_text(unannotated(program_to_text(prog)))
 
 
 def test_text_without_start_can_be_undetermined():
@@ -250,6 +257,48 @@ def test_text_rejects_garbage():
         program_from_text("start=Nested,Q\nX+\n")
 
 
+@st.composite
+def alternating_word(draw):
+    """Alternating F / R^a words of 1-50 tokens, as checks._random_words
+    draws them."""
+    length = draw(st.integers(1, 50))
+    first_f = draw(st.booleans())
+    return tuple(
+        ("F",) if (i % 2 == 0) == first_f else ("R", draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+        for i in range(length)
+    )
+
+
+@given(alternating_word(), st.sampled_from(STATES), st.data())
+@settings(max_examples=100, deadline=None)
+def test_text_format_round_trips(word, start, data):
+    try:
+        prog = compile_weave(word, start)
+    except ValueError:  # a closing the machine cannot make in one move
+        assume(False)
+    table_moves = [move for move, _ in weave.MOVE_TABLE.values()]
+    is_table_move = lambda m: any(m is t for t in table_moves)
+    text = program_to_text(prog)
+    back = program_from_text(text)
+    assert back == prog
+    assert all(map(is_table_move, back.all_moves()))
+    assert all(map(is_table_move, invert_moves(prog)))
+    # without annotations it parses back, or refuses to guess
+    try:
+        assert program_from_text(unannotated(text)) == prog
+    except ValueError as exc:
+        assert "ambiguous" in str(exc)
+    # one garbage line: usage error, one stderr line, no traceback
+    lines = text.splitlines(True)
+    lines.insert(data.draw(st.integers(0, len(lines))), "WOBBLE\n")
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.setattr("sys.stdin", io.StringIO("".join(lines)))
+        code = cli.main(["chain-run"])
+    assert code == 2
+    assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") == 1
+
+
 def test_gadget_exchange_positions():
     x = Move("X+", ("Pair", "C"), ("Pair", "D"))
     assert gadget_exchanges([x], 2) == [(3, True)]
@@ -257,11 +306,6 @@ def test_gadget_exchange_positions():
     assert gadget_exchanges([lm], 2) == [(2, False), (3, False)]
     lp = Move("L+", ("Nested", "D"), ("Pair", "B"))
     assert gadget_exchanges([lp], 2) == [(3, True), (2, True)]
-    # variant 1 flips the handedness of loop moves only
-    assert gadget_exchanges([lm], 2, variant=1) == [(2, True), (3, True)]
-    assert gadget_exchanges([x], 2, variant=1) == [(3, True)]
-    with pytest.raises(ValueError):
-        gadget_exchanges([x], 2, variant=2)
 
 
 def test_gadget_exchanges_group_sizes():
@@ -299,14 +343,12 @@ def test_invert_program_swaps_endpoints():
     assert invert_moves(invert_moves(prog.all_moves())) == prog.all_moves()
 
 
-def oracle_exchanges(moves, left, group1_size, group2_size, variant):
+def oracle_exchanges(moves, left, group1_size, group2_size):
     """Per-move expansion restated: every move's exchanges worked out anew."""
     pos = {"B": left, "C": left + group1_size, "D": left + group1_size + group2_size}
     out = []
     for move in moves:
         ccw = move.kind in ("X+", "L+")
-        if variant == 1 and move.kind[0] == "L":
-            ccw = not ccw
         p, q = pos[move.pre[1]], pos[move.post[1]]
         out.extend((x, ccw) for x in (range(p - 1, q - 1, -1) if q < p else range(p, q)))
     return out
@@ -321,9 +363,9 @@ def _expansion_sources():
     ]
     for prog in programs:
         parsed = program_from_text(program_to_text(prog))
-        # parsed moves equal the table's by value but are other objects
+        # parsed moves are the table's own instances
         assert parsed.all_moves() == prog.all_moves()
-        assert parsed.moves[0] is not prog.moves[0]
+        assert all(p is m for p, m in zip(parsed.all_moves(), prog.all_moves()))
         yield prog
         yield parsed
         yield invert_moves(prog)
@@ -336,11 +378,16 @@ def _expansion_sources():
     ]
 
 
-@pytest.mark.parametrize("variant", [0, 1])
+@pytest.mark.parametrize("one_call", [0, 1])
 @pytest.mark.parametrize("sizes", [(1, 1), (2, 3), (3, 1)])
 @pytest.mark.parametrize("left", [1, 2])
-def test_gadget_exchanges_match_per_move_oracle(left, sizes, variant):
-    for source in _expansion_sources():
-        moves = source.all_moves() if isinstance(source, weave.WeaveProgram) else source
-        got = gadget_exchanges(source, left, *sizes, variant=variant)
-        assert got == oracle_exchanges(moves, left, *sizes, variant)
+def test_gadget_exchanges_match_per_move_oracle(left, sizes, one_call):
+    """Each source expanded in its own call, or all of them in one call, so
+    that one run cache serves compiled, parsed, inverted and hand-built
+    moves of several programs."""
+    sources = list(_expansion_sources())
+    moves = [s.all_moves() if isinstance(s, weave.WeaveProgram) else s for s in sources]
+    if one_call:
+        sources = moves = [[m for ms in moves for m in ms]]
+    for source, ms in zip(sources, moves):
+        assert gadget_exchanges(source, left, *sizes) == oracle_exchanges(ms, left, *sizes)
