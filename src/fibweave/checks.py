@@ -250,7 +250,8 @@ def distillation():
     """The order-1 addition gadget lifts the cut probability of two
     nontrivial pairs to 1 - tau^-20; the physical and composite protocol
     routes agree, also under the vertex gauge F -> D F D^-1 with
-    D = diag(1, e^i); the perfect-gadget floor at n=2, p=1/2 is 9/16."""
+    D = diag(1, e^i); epsilon_prob(j) is |M00|^2 of the order-j weave-seed
+    word for j = 0 and 1; the perfect-gadget floor at n=2, p=1/2 is 9/16."""
     target = 1 - model.TAU_F**-20
     prog = weave.compile_weave(words.m_word(1, words.SEED_WEAVE), ("Pair", "D"))
     st = chain.Chain.init_pairs([1, 1]).apply_exchanges(weave.gadget_exchanges(prog, 2))
@@ -269,6 +270,8 @@ def distillation():
         distill._gadgets.cache_clear()
     gauge_gap = max(abs(g - r["probability"]) for g, r in zip(gauged, (r_phys, r_comp)))
     marginal_gap = abs(r_phys["marginal_left"] - target)
+    m00 = [abs(words.evaluate(words.m_word(j, words.SEED_WEAVE))[0, 0]) ** 2 for j in (0, 1)]
+    epsilon_gap = max(abs(distill.epsilon_prob(j)["probability"] - m) / m for j, m in enumerate(m00))
     floor = distill.one_mobile_floor(2, Fraction(1, 2))
     figures = {
         "cut_probability": p11,
@@ -276,10 +279,12 @@ def distillation():
         "route_gap": route_gap,
         "gauge_gap": gauge_gap,
         "marginal_gap": marginal_gap,
+        "epsilon_gap": epsilon_gap,
         "joint_probability": r_phys["probability"],
         "floor": floor,
     }
-    bounds = {"cut_shortfall": 1e-12, "route_gap": 1e-11, "gauge_gap": 1e-12, "marginal_gap": 1e-12}
+    bounds = {"cut_shortfall": 1e-12, "route_gap": 1e-11, "gauge_gap": 1e-12,
+              "marginal_gap": 1e-12, "epsilon_gap": 1e-9}
     return _verdict(figures, bounds, floor == Fraction(9, 16))
 
 

@@ -48,6 +48,8 @@ from .words import (
 )
 
 MAX_PROTOCOL_ANYONS = 18
+#: The exact merge recursion works in Fractions whose size doubles per level.
+MAX_HIERARCHICAL_PAIRS = 4096
 
 
 class PlanningError(ValueError):
@@ -368,6 +370,8 @@ def epsilon_prob(j):
 
 def hierarchical_success(n, p, eps=0):
     """Pairwise-merge tree over n pairs: q_{k+1} = merge_success(q_k, eps)."""
+    if n > MAX_HIERARCHICAL_PAIRS:
+        raise PlanningError(f"exact merging is capped at {MAX_HIERARCHICAL_PAIRS} pairs, got {n}")
     q = p
     for _ in range(_merge_levels(n)):
         q = merge_success(q, eps)

@@ -57,7 +57,6 @@ class FibConstants:
 
     precision_bits: int
     tau: BigComplex
-    omega: BigComplex  # e^{i pi / 5}
     R: Mat2
     F: Mat2
     S: Mat2
@@ -97,14 +96,12 @@ class FibConstants:
 def make_constants(precision_bits=DEFAULT_PRECISION_BITS):
     p = precision_bits
     tau = (BigComplex.one(p) + big_sqrt(5, p)) / 2
-    omega = exp_i_pi(Fraction(1, 5), p)
     r = phase_diag(Fraction(-4, 5), Fraction(3, 5), p)
     rt = 1 / big_sqrt(tau, p)
     f = Mat2(1 / tau, rt, rt, -(1 / tau))
     return FibConstants(
         precision_bits=p,
         tau=tau,
-        omega=omega,
         R=r,
         F=f,
         S=f @ r @ f,

@@ -54,8 +54,6 @@ R_PARTNER = {
     ("Nested", "D"): ("Pair", "B"),
 }
 
-MOVE_KINDS = ("X+", "X-", "L+", "L-")
-
 # each move equals e^{i pi/5 * phase_exponent} times the demanded R^{+-1}
 PHASE_EXPONENT = {"X+": 0, "X-": 0, "L-": 4, "L+": -4}
 
@@ -222,73 +220,42 @@ def program_to_text(program):
 
 
 def program_from_text(text):
-    """Parse the plain-text format back into a WeaveProgram.
+    """Parse the text that program_to_text writes back into a WeaveProgram.
 
-    State annotations are used when present.  Without them the pre-states
-    are inferred where the move kinds force them: a kind is legal from a
-    state, or from its F toggle, when the move table holds it there.  An
-    exchange move from slot C is consistent with two different machine
-    states, so genuinely ambiguous inputs raise instead of guessing.  The
-    moves returned are the table's own instances.
+    `start=` is required.  Every move line follows a `#@` line whose state
+    is the previous post-state (the start, at first) or its F toggle, and
+    from which the kind is a table move; the table's instance is returned.
+    `#!` opens the closing section, an optional `end=` is the last
+    post-state or its F toggle, and other `#` lines are comments.
     """
-    start = None
-    end_decl = None
-    tokens = []  # (kind, #@ pre-state or None, closing flag)
-    pending_pre = None
-    closing_flag = False
+    start = end = pre = None
+    moves, closing = [], []
+    section = moves
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("start="):
             start = _parse_state(line[len("start="):])
         elif line.startswith("end="):
-            end_decl = _parse_state(line[len("end="):])
+            end = _parse_state(line[len("end="):])
         elif line.startswith("#@"):
-            pending_pre = _parse_state(line[2:])
+            pre = _parse_state(line[2:])
         elif line.startswith("#!"):
-            closing_flag = True
-        elif line.startswith("#"):
-            continue
-        elif line in MOVE_KINDS:
-            tokens.append((line, pending_pre, closing_flag))
-            pending_pre = None
-        else:
-            raise ValueError(f"unrecognised line {raw!r}")
-
-    candidates = {start} if start is not None else set(STATES)
-    resolved = None
-    for attempt_start in sorted(candidates):
-        states = {attempt_start}
-        trace = []
-        for kind, pre_ann, _ in tokens:
-            found = {
-                _BY_PRE_KIND[c, kind][0]
-                for s in states
-                for c in (s, f_toggle(s))
-                if (c, kind) in _BY_PRE_KIND and pre_ann in (None, c)
-            }
-            if not found:
-                break
-            trace.append(found)
-            states = {m.post for m in found}
-        else:
-            if any(len(f) > 1 for f in trace):
-                raise ValueError(
-                    "ambiguous program: an exchange from slot C matches two states; "
-                    "add #@ state annotations"
-                )
-            if resolved is not None:
-                raise ValueError("ambiguous program: start state is not determined")
-            resolved = (attempt_start, [next(iter(f)) for f in trace])
-    if resolved is None:
-        raise ValueError("no consistent machine state sequence for this program")
-    start, found = resolved
-    moves, closing = [], []
-    for (_kind, _, is_closing), mv in zip(tokens, found):
-        (closing if is_closing else moves).append(mv)
-    last = found[-1].post if found else start
-    end = end_decl if end_decl is not None else last
+            section = closing
+        elif line and not line.startswith("#"):
+            if pre is None:
+                raise ValueError(f"line {raw!r} follows no #@ pre-state line")
+            if (pre, line) not in _BY_PRE_KIND:
+                raise ValueError(f"line {raw!r} is not a move from #@ {_state_str(pre)}")
+            section.append(_BY_PRE_KIND[pre, line][0])
+            pre = None
+    if start is None:
+        raise ValueError("no start= line: the start state is not determined")
+    last = start
+    for move in moves + closing:
+        if move.pre not in (last, f_toggle(last)):
+            raise ValueError(f"move from {_state_str(move.pre)} cannot follow {_state_str(last)}")
+        last = move.post
+    end = last if end is None else end
     if end not in (last, f_toggle(last)):
         raise ValueError(f"declared end state {end} unreachable from {last}")
     return WeaveProgram(start, tuple(moves), tuple(closing), end)

@@ -4,13 +4,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibweave import checks, cli, converge
+from fibweave import checks, cli, converge, distill
 
 
 def run(argv, capsys):
@@ -268,6 +269,24 @@ def test_simulate_over_layout_limit_is_planning_error(capsys):
     assert code == 3
     assert out == "" and "Traceback" not in err and err.count("\n") == 1
     assert "22 anyons" in err
+
+
+def test_hierarchical_over_exact_limit_is_planning_error(capsys):
+    # the exact merge recursion's Fractions double in size per level
+    t0 = time.perf_counter()
+    code, out, err = run(
+        ["simulate", "--scheme", "hierarchical", "--n", str(2**40), "--p", "0.3", "--eps", "0.1"],
+        capsys,
+    )
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert out == "" and "Traceback" not in err and err.count("\n") == 1
+    assert str(distill.MAX_HIERARCHICAL_PAIRS) in err
+    assert 0 < distill.exact_success("hierarchical", distill.MAX_HIERARCHICAL_PAIRS, 0.3, eps=0.1) < 1
+    # the integer ledger and the sampler keep any power of two
+    assert len(distill.braid_cost(2**40, 0)["levels"]) == 40
+    mc = distill.monte_carlo("hierarchical", 2 * distill.MAX_HIERARCHICAL_PAIRS, 0.3, 10, 0, eps=0.1)
+    assert mc["trials"] == 10
 
 
 def test_cost_csv(capsys):

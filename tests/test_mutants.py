@@ -1,9 +1,10 @@
-"""Gauge mutants that `verify` must catch.
+"""Mutants that `verify` must catch.
 
-Each mutant reads F with the wrong index order, or conjugates the window
+The gauge mutants read F with the wrong index order, or conjugate the window
 blocks.  The standard F is real and symmetric, so only the gauged reruns of
-the `distill` check can expose them; each must make `verify --suite distill`
-exit 1, and the unpatched tree must exit 0."""
+the `distill` check can expose them.  The last mutant reports the addition
+gadget's residual amplitude as its probability.  Each must make
+`verify --suite distill` exit 1, and the unpatched tree must exit 0."""
 from __future__ import annotations
 
 import pytest
@@ -52,9 +53,25 @@ def window_blocks_conjugated(mp):
     mp.setattr(WindowMap, "_build", mutant)
 
 
+def epsilon_prob_is_amplitude(mp):
+    epsilon_prob = distill.epsilon_prob
+
+    def mutant(j):
+        res = epsilon_prob(j)
+        return {**res, "probability": res["amplitude_residual"]}
+
+    mp.setattr(distill, "epsilon_prob", mutant)
+
+
 @pytest.mark.parametrize(
     "mutate",
-    [None, merge_reads_f_xg, init_reads_f_0x, window_blocks_conjugated],
+    [
+        None,
+        merge_reads_f_xg,
+        init_reads_f_0x,
+        window_blocks_conjugated,
+        epsilon_prob_is_amplitude,
+    ],
     ids=lambda m: getattr(m, "__name__", "unpatched"),
 )
 def test_verify_distill_catches_gauge_mutants(mutate, capsys):

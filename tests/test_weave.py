@@ -231,23 +231,28 @@ def unannotated(text):
     return "".join(line for line in text.splitlines(True) if not line.startswith("#@"))
 
 
-def test_text_unannotated_resolves_when_forced():
-    # a lone loop move is unambiguous once the start is known
-    prog = compile_weave((("R", 1),), ("Pair", "B"))
-    assert [m.kind for m in prog.moves] == ["L-"]
-    back = program_from_text(unannotated(program_to_text(prog)))
-    assert back.moves == prog.moves
+def run_chain_run(text):
+    """`fibweave chain-run` on text from stdin: (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.setattr("sys.stdin", io.StringIO(text))
+        code = cli.main(["chain-run"])
+    return code, err.getvalue()
 
 
-def test_text_unannotated_slot_c_is_ambiguous():
+@pytest.mark.parametrize("strip", ["annotations", "start"])
+def test_text_without_annotations_or_start_is_refused(strip):
     prog = compile_weave(words.m_word(0, words.SEED_WEAVE), ("Nested", "D"))
-    with pytest.raises(ValueError, match="ambiguous"):
-        program_from_text(unannotated(program_to_text(prog)))
-
-
-def test_text_without_start_can_be_undetermined():
-    with pytest.raises(ValueError, match="ambiguous|undetermined|not determined"):
-        program_from_text("X+\n")
+    text = program_to_text(prog)
+    if strip == "annotations":
+        text, cause = unannotated(text), "no #@ pre-state line"
+    else:
+        text, cause = text.replace("start=Nested,D\n", ""), "no start= line"
+    with pytest.raises(ValueError, match=cause):
+        program_from_text(text)
+    code, err = run_chain_run(text)
+    assert code == 2
+    assert cause in err and "Traceback" not in err and err.count("\n") == 1
 
 
 def test_text_rejects_garbage():
@@ -283,20 +288,41 @@ def test_text_format_round_trips(word, start, data):
     assert back == prog
     assert all(map(is_table_move, back.all_moves()))
     assert all(map(is_table_move, invert_moves(prog)))
-    # without annotations it parses back, or refuses to guess
-    try:
-        assert program_from_text(unannotated(text)) == prog
-    except ValueError as exc:
-        assert "ambiguous" in str(exc)
+    # without annotations every move is refused
+    if prog.move_count:
+        with pytest.raises(ValueError, match="no #@ pre-state line"):
+            program_from_text(unannotated(text))
     # one garbage line: usage error, one stderr line, no traceback
     lines = text.splitlines(True)
     lines.insert(data.draw(st.integers(0, len(lines))), "WOBBLE\n")
-    out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
-        mp.setattr("sys.stdin", io.StringIO("".join(lines)))
-        code = cli.main(["chain-run"])
+    code, err = run_chain_run("".join(lines))
     assert code == 2
-    assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@given(alternating_word(), st.sampled_from(STATES), st.data())
+@settings(max_examples=100, deadline=None)
+def test_text_with_one_state_replaced_chains_or_refuses(word, start, data):
+    try:
+        prog = compile_weave(word, start)
+    except ValueError:
+        assume(False)
+    assume(prog.move_count)
+    lines = program_to_text(prog).splitlines(True)
+    i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("#@")]))
+    state = data.draw(st.sampled_from(STATES))
+    lines[i] = f"#@ {state[0]},{state[1]}\n"
+    try:
+        back = program_from_text("".join(lines))
+    except ValueError:
+        return
+    table_moves = [move for move, _ in weave.MOVE_TABLE.values()]
+    last = back.start
+    for move in back.all_moves():
+        assert any(move is t for t in table_moves)
+        assert move.pre in (last, f_toggle(last))
+        last = move.post
+    assert back.end_state in (last, f_toggle(last))
 
 
 def test_gadget_exchange_positions():
