@@ -240,14 +240,21 @@ def run_chain_run(text):
     return code, err.getvalue()
 
 
-@pytest.mark.parametrize("strip", ["annotations", "start"])
-def test_text_without_annotations_or_start_is_refused(strip):
-    prog = compile_weave(words.m_word(0, words.SEED_WEAVE), ("Nested", "D"))
-    text = program_to_text(prog)
+ORDER0_ADD = (words.m_word(0, words.SEED_WEAVE), ("Nested", "D"))
+LONE_LOOP = ((("R", 1),), ("Pair", "B"))  # one L- move: its pre-state is forced by start=
+
+
+@pytest.mark.parametrize(
+    "word, start, strip",
+    [(*ORDER0_ADD, "annotations"), (*LONE_LOOP, "annotations"), (*ORDER0_ADD, "start")],
+    ids=["annotations", "lone-loop", "start"],
+)
+def test_text_without_annotations_or_start_is_refused(word, start, strip):
+    text = program_to_text(compile_weave(word, start))
     if strip == "annotations":
         text, cause = unannotated(text), "no #@ pre-state line"
     else:
-        text, cause = text.replace("start=Nested,D\n", ""), "no start= line"
+        text, cause = text.replace("start=%s,%s\n" % start, ""), "no start= line"
     with pytest.raises(ValueError, match=cause):
         program_from_text(text)
     code, err = run_chain_run(text)
