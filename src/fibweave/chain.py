@@ -16,10 +16,22 @@ block when both charges and both ambient labels are nontrivial, a pure
 phase or a relabeling otherwise.  A fixed exchange sequence on three
 adjacent objects can be applied as one fused block (:class:`WindowMap`).
 Every kernel reads F and R from one binding, :attr:`Chain.gauge`.
+
+A state is stored by descriptor group, ``{descriptors: {path bits:
+amplitude}}``: every Fibonacci label is 0 or 1, and bit k of the int is
+label k.  A kernel works out swapped descriptors and roots once per group
+and relabels or recouples the path with shifts and masks.  Each output
+group takes its amplitudes from exactly one input group, in that group's
+key order, so every amplitude is summed in the order a flat dict would
+sum it.  The packed form stays inside this module: :class:`Chain` takes,
+and :attr:`Chain.amps` shows read-only, the flat form
+``{(descriptors, path tuple): amplitude}``.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
+from collections.abc import ItemsView, Mapping
 
 import numpy as np
 
@@ -70,13 +82,83 @@ def is_admissible(charges, path):
     return all(path[i + 1] in fuse(path[i], root(c)) for i, c in enumerate(charges))
 
 
+def _pack(path):
+    """Path labels as int bits, bit k = label k."""
+    bits = 0
+    for k, label in enumerate(path):
+        if label == 1:
+            bits |= 1 << k
+        elif label != 0:
+            raise ValueError(f"path labels must be 0 or 1, got {path}")
+    return bits
+
+
+def _labels(bits, n):
+    return tuple(bits >> k & 1 for k in range(n))
+
+
+class _Amps(Mapping):
+    """Read-only flat view ``{(descriptors, path tuple): amplitude}`` of a
+    state's groups; paths are decoded only as keys are read."""
+
+    __slots__ = ("_groups",)
+
+    def __init__(self, groups):
+        self._groups = groups
+
+    def __len__(self):
+        return sum(map(len, self._groups.values()))
+
+    def __iter__(self):
+        return (key for key, _a in self.items())
+
+    def __getitem__(self, key):
+        ch, path = key
+        group = self._groups.get(ch)
+        if group is None or len(path) != len(ch) + 1:
+            raise KeyError(key)
+        try:
+            return group[_pack(path)]
+        except ValueError:
+            raise KeyError(key) from None
+
+    def items(self):
+        return _Items(self)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        for ch, group in self._mapping._groups.items():
+            n = len(ch) + 1
+            for bits, a in group.items():
+                yield (ch, _labels(bits, n)), a
+
+
 class Chain:
-    """Superposition over (object descriptors, path labels) basis keys."""
+    """Superposition over (object descriptors, path labels) basis keys,
+    built from a mapping {(descriptors, path tuple): amplitude} whose paths
+    carry one 0/1 label more than there are objects."""
 
     gauge = gauge_of(F_NP, R_NP)
 
     def __init__(self, amps):
-        self.amps = dict(amps)
+        groups = {}
+        for (ch, path), a in amps.items():
+            if len(path) != len(ch) + 1:
+                raise ValueError(f"path {path} does not fit {len(ch)} objects")
+            groups.setdefault(ch, {})[_pack(path)] = a
+        self._groups = groups
+
+    @classmethod
+    def _of(cls, groups):
+        st = cls.__new__(cls)
+        st._groups = groups
+        return st
+
+    @property
+    def amps(self):
+        """The state as a read-only mapping {(descriptors, path tuple): amplitude}."""
+        return _Amps(self._groups)
 
     @classmethod
     def from_path(cls, charges, path, amp=1.0 + 0j):
@@ -95,7 +177,7 @@ class Chain:
         return cls.from_path(charges, path)
 
     def objects(self):
-        for (ch, _p) in self.amps:
+        for ch in self._groups:
             return len(ch)
         return 0
 
@@ -108,29 +190,31 @@ class Chain:
         else the recoupled 2x2 block F R F on the middle label.
         """
         r00, r11, frf = self.gauge.ccw if ccw else self.gauge.cw
+        lo, mid = i - 1, 1 << i
+        clear = ~mid
         out = {}
-        get = out.get
-        swapped = {}  # ch -> (swapped descriptors, root i, root i+1)
-        for (ch, p), a in self.amps.items():
-            sw = swapped.get(ch)
-            if sw is None:
-                di, dj = ch[i - 1], ch[i]
-                sw = swapped[ch] = (ch[:i - 1] + (dj, di) + ch[i + 1:], root(di), root(dj))
-            nch, ci, cj = sw
-            if ci == 0 or cj == 0:
-                k = (nch, p[:i] + (p[i + 1] if ci == 0 else p[i - 1],) + p[i + 1:])
-                out[k] = get(k, 0) + a
-            elif p[i - 1] == 0 or p[i + 1] == 0:  # R00 if both are vacuum
-                k = (nch, p)
-                out[k] = get(k, 0) + a * (r00 if p[i - 1] == p[i + 1] else r11)
-            else:
-                head, tail = p[:i], p[i + 1:]
-                c0, c1 = frf[p[i]]
-                k = (nch, head + (0,) + tail)
-                out[k] = get(k, 0) + c0 * a
-                k = (nch, head + (1,) + tail)
-                out[k] = get(k, 0) + c1 * a
-        return Chain(out)
+        for ch, group in self._groups.items():
+            di, dj = ch[i - 1], ch[i]
+            new = out[ch[:i - 1] + (dj, di) + ch[i + 1:]] = {}
+            get = new.get
+            ci, cj = root(di), root(dj)
+            if ci == 0 or cj == 0:  # label i takes its other neighbour's value
+                src = i + 1 if ci == 0 else i - 1
+                for p, a in group.items():
+                    k = p & clear | (p >> src & 1) << i
+                    new[k] = get(k, 0) + a
+                continue
+            for p, a in group.items():
+                ambient = p >> lo & 5  # labels i-1 and i+1 at bits 0 and 2
+                if ambient != 5:  # R00 if both are vacuum
+                    new[p] = get(p, 0) + a * (r00 if ambient == 0 else r11)
+                else:
+                    c0, c1 = frf[p >> i & 1]
+                    k = p & clear
+                    new[k] = get(k, 0) + c0 * a
+                    k |= mid
+                    new[k] = get(k, 0) + c1 * a
+        return Chain._of(out)
 
     def apply_exchanges(self, exchanges):
         st = self
@@ -143,15 +227,24 @@ class Chain:
         in one pass: descriptors stay, the labels p[i], p[i+1] inside the
         window are remapped by the block of the window's roots and outer
         labels p[i-1], p[i+2]."""
+        lo, clear = i - 1, ~(3 << i)
         out = {}
-        for (ch, p), a in self.amps.items():
+        for ch, group in self._groups.items():
             roots = (root(ch[i - 1]), root(ch[i]), root(ch[i + 1]))
-            rows = window.block(roots, p[i - 1], p[i + 2])[p[i], p[i + 1]]
-            head, tail = p[:i], p[i + 2:]
-            for x, y, c in rows:
-                k = (ch, head + (x, y) + tail)
-                out[k] = out.get(k, 0) + c * a
-        return Chain(out)
+            new = out[ch] = {}
+            get = new.get
+            rows_of = {}  # labels i-1 .. i+2 at bits 0 .. 3 -> ((bits, c), ...)
+            for p, a in group.items():
+                w = p >> lo & 15
+                rows = rows_of.get(w)
+                if rows is None:
+                    block = window.block(roots, w & 1, w >> 3)[w >> 1 & 1, w >> 2 & 1]
+                    rows = rows_of[w] = tuple((x << i | y << (i + 1), c) for x, y, c in block)
+                base = p & clear
+                for xy, c in rows:
+                    k = base | xy
+                    new[k] = get(k, 0) + c * a
+        return Chain._of(out)
 
     def merge(self, i):
         """Fuse objects i and i+1 into one composite object.
@@ -163,39 +256,55 @@ class Chain:
         histories remain orthogonal basis states.
         """
         f = self.gauge.f
+        lo, low = i - 1, (1 << i) - 1
         out = {}
-        for (ch, p), a in self.amps.items():
+        for ch, group in self._groups.items():
             da, db = ch[i - 1], ch[i]
             aa, bb = root(da), root(db)
-            x, lpre, lpost = p[i], p[i - 1], p[i + 1]
-            np_ = p[:i] + p[i + 1:]
-            if aa == bb == lpre == lpost == 1:
-                gw = [(g, f[g][x]) for g in (0, 1)]
-            else:  # the composite charge is fixed by the fusion rules
-                gw = [(g, 1.0) for g in fuse(aa, bb) if lpost in fuse(lpre, g)]
-            for g, w in gw:
-                k = (ch[:i - 1] + ((g, (da, db)),) + ch[i + 1:], np_)
-                out[k] = out.get(k, 0) + w * a
-        return Chain(out)
+            head, tail = ch[:i - 1], ch[i + 1:]
+            targets_of = {}  # labels i-1, i, i+1 at bits 0, 1, 2 -> ((group, weight), ...)
+            for p, a in group.items():
+                w = p >> lo & 7
+                targets = targets_of.get(w)
+                if targets is None:
+                    lpre, x, lpost = w & 1, w >> 1 & 1, w >> 2
+                    if aa == bb == lpre == lpost == 1:
+                        gw = [(g, f[g][x]) for g in (0, 1)]
+                    else:  # the composite charge is fixed by the fusion rules
+                        gw = [(g, 1.0) for g in fuse(aa, bb) if lpost in fuse(lpre, g)]
+                    targets = targets_of[w] = tuple(
+                        (out.setdefault(head + ((g, (da, db)),) + tail, {}), wt) for g, wt in gw
+                    )
+                q = p & low | p >> (i + 1) << i  # label i taken out
+                for new, wt in targets:
+                    new[q] = new.get(q, 0) + wt * a
+        return Chain._of(out)
 
     def norm(self):
-        return float(sum(abs(a) ** 2 for a in self.amps.values()))
+        return math.fsum(abs(a) ** 2 for group in self._groups.values() for a in group.values())
 
     def prune(self):
-        self.amps = {k: v for k, v in self.amps.items() if abs(v) > PRUNE_TOL}
+        """Drop amplitudes at or below PRUNE_TOL into new groups: a view of
+        :attr:`amps` taken before the prune keeps showing the old state."""
+        groups = {}
+        for ch, group in self._groups.items():
+            kept = {p: a for p, a in group.items() if abs(a) > PRUNE_TOL}
+            if kept:
+                groups[ch] = kept
+        self._groups = groups
         return self
 
     def split_mass(self, pred):
         """(m, rest): the summed |amplitude|^2 of the basis keys where
-        pred(descriptors, path) holds, and of all others.  A share
+        pred(descriptors, path) holds, and of all others, each summed
+        exactly rounded so that neither depends on the key order.  A share
         m / (m + rest) of two partial sums of one state lies in [0, 1]."""
-        m = rest = 0.0
-        for (ch, p), a in self.amps.items():
-            if pred(ch, p):
-                m += abs(a) ** 2
-            else:
-                rest += abs(a) ** 2
-        return float(m), float(rest)
+        m, rest = [], []
+        for ch, group in self._groups.items():
+            n = len(ch) + 1
+            for bits, a in group.items():
+                (m if pred(ch, _labels(bits, n)) else rest).append(abs(a) ** 2)
+        return math.fsum(m), math.fsum(rest)
 
     def cut_distribution(self, k):
         """(P[label 0], P[label 1]) for the path label after object k, as
@@ -204,11 +313,12 @@ class Chain:
         return (p0 / (p0 + p1), p1 / (p0 + p1))
 
     def overlap(self, other):
-        return sum(
-            np.conj(other.amps.get(k, 0)) * a for k, a in self.amps.items()
-        )
-
-
+        total = 0
+        for ch, group in self._groups.items():
+            theirs = other._groups.get(ch, {})
+            for bits, a in group.items():
+                total += np.conj(theirs.get(bits, 0)) * a
+        return total
 class WindowMap:
     """An exchange sequence on three adjacent objects that returns every
     object to its slot, applied as one block map (gate fusion).

@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import chain, checks, distill, weave, words
 
@@ -107,7 +106,7 @@ def _cmd_simulate(args):
     report = distill.simulate_report(
         args.scheme,
         args.n,
-        Fraction(str(args.p)),
+        args.p,
         trials=args.trials,
         seed=args.seed,
         j=args.j,

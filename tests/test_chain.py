@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fibweave import weave, words
-from fibweave.chain import Chain, is_admissible, paths_for, root
+from fibweave.chain import Chain, WindowMap, is_admissible, paths_for, root
 from fibweave.checks import _gap, _random_state
-from fibweave.model import F_NP, R_NP, TAU_F
+from fibweave.model import F_NP, R_NP, TAU_F, fuse
 
 
 def _close(a, b, tol=1e-12):
@@ -38,6 +38,11 @@ def test_admissibility():
     assert not is_admissible((0, 1), (0, 1, 1))     # 0 cannot raise the label
     with pytest.raises(ValueError):
         Chain.from_path((1, 1), (0, 0, 0))
+    with pytest.raises(ValueError):  # a path too short to be stored
+        Chain({((1, 1), (0, 1)): 1.0})
+    with pytest.raises(ValueError):  # a label that is not one bit
+        Chain({((1, 1), (0, 2, 0)): 1.0})
+    assert ((1, 1), (0, 2, 0)) not in Chain.init_pairs([1]).amps
 
 
 def test_init_pairs_definite_path():
@@ -121,10 +126,51 @@ def _reference_braid(amps, i, ccw):
     return out
 
 
-def test_braid_kernel_matches_reference_kernel():
-    # exact equality of keys and amplitudes with the reference kernel, on
-    # bare random states, on states mixing bare charges with nested
-    # composites, and on states holding several descriptor tuples at once
+def _reference_merge(amps, i):
+    """The merge kernel on a flat {(descriptors, path): amplitude} dict, as
+    first written."""
+    f = Chain.gauge.f
+    out = {}
+    for (ch, p), a in amps.items():
+        da, db = ch[i - 1], ch[i]
+        aa, bb = root(da), root(db)
+        x, lpre, lpost = p[i], p[i - 1], p[i + 1]
+        np_ = p[:i] + p[i + 1:]
+        if aa == bb == lpre == lpost == 1:
+            gw = [(g, f[g][x]) for g in (0, 1)]
+        else:  # the composite charge is fixed by the fusion rules
+            gw = [(g, 1.0) for g in fuse(aa, bb) if lpost in fuse(lpre, g)]
+        for g, w in gw:
+            k = (ch[:i - 1] + ((g, (da, db)),) + ch[i + 1:], np_)
+            out[k] = out.get(k, 0) + w * a
+    return out
+
+
+def _reference_window(amps, i, window):
+    """The window kernel on a flat dict, as first written."""
+    out = {}
+    for (ch, p), a in amps.items():
+        roots = (root(ch[i - 1]), root(ch[i]), root(ch[i + 1]))
+        rows = window.block(roots, p[i - 1], p[i + 2])[p[i], p[i + 1]]
+        head, tail = p[:i], p[i + 2:]
+        for x, y, c in rows:
+            k = (ch, head + (x, y) + tail)
+            out[k] = out.get(k, 0) + c * a
+    return out
+
+
+def _eighteen_anyons():
+    """Nine charge-1 pairs (18 anyons, 19 path labels) spread over many
+    paths by one layer of exchanges."""
+    st = Chain.init_pairs([1] * 9)
+    return st.apply_exchanges([(k, True) for k in range(2, 18, 2)] + [(k, False) for k in range(3, 18, 2)])
+
+
+def _kernel_states():
+    """Bare random states, a state mixing bare charges with nested
+    composites, a state holding several descriptor tuples at once and the
+    18-anyon state, each with numpy amplitudes and with Python complex
+    amplitudes in a shuffled key order."""
     rng = np.random.default_rng(17)
     states = [
         _random_state(rng, [int(c) for c in rng.integers(0, 2, size=n)]) for n in range(2, 9)
@@ -138,15 +184,65 @@ def test_braid_kernel_matches_reference_kernel():
         **_random_state(rng, [1, 1, 1, 0, 1]).amps,
         **_random_state(rng, [1, 1, 0, 1, 1]).amps,
     }))
+    states.append(_eighteen_anyons())
     assert len({ch for ch, _p in mixed.amps}) >= 2
     assert {root(d) for ch, _p in mixed.amps for d in ch if not isinstance(d, int)} == {0, 1}
+    out = []
     for st in states:
-        n = st.objects()
-        for amps in (st.amps, {k: complex(a) for k, a in st.amps.items()}):
-            for i in range(1, n):
-                for ccw in (True, False):
-                    got = Chain(amps).braid_adjacent(i, ccw).amps
-                    assert got == _reference_braid(amps, i, ccw)
+        keys = list(st.amps)
+        shuffled = [keys[k] for k in rng.permutation(len(keys))]  # groups interleaved
+        out.append((st.objects(), dict(st.amps)))
+        out.append((st.objects(), {k: complex(st.amps[k]) for k in shuffled}))
+    return out
+
+
+def test_braid_kernel_matches_reference_kernel():
+    # exact equality of keys and amplitudes with the reference kernel
+    for n, amps in _kernel_states():
+        for i in range(1, n):
+            for ccw in (True, False):
+                got = Chain(amps).braid_adjacent(i, ccw).amps
+                assert got == _reference_braid(amps, i, ccw)
+
+
+def test_merge_and_window_kernels_match_reference_kernels():
+    add = weave.compile_weave(words.m_word(1, words.SEED_WEAVE), ("Pair", "D"))
+    windows = [WindowMap(weave.gadget_exchanges(add, 1)), WindowMap([(1, True), (2, False)] * 3)]
+    for n, amps in _kernel_states():
+        st = Chain(amps)
+        for i in range(1, n):
+            assert st.merge(i).amps == _reference_merge(amps, i)
+        for i in range(1, n - 1):
+            for window in windows:
+                assert st.apply_window(i, window).amps == _reference_window(amps, i, window)
+
+
+def test_eighteen_anyon_state_round_trips():
+    st = _eighteen_anyons()
+    count = sum(1 for _ in st.amps.items())
+    assert count > 100 and len({ch for ch, _p in st.amps}) == 1
+    assert len(st.amps) == count
+    assert all(len(p) == 19 for _ch, p in st.amps)
+    assert Chain(st.amps).amps == st.amps
+    assert dict(Chain(dict(st.amps)).amps) == dict(st.amps)
+    assert st.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sums_do_not_depend_on_key_order():
+    # one state over three descriptor tuples, stored in two key orders:
+    # the norm, masses and cut shares are exactly rounded sums, so they
+    # agree to the last bit (plain left-to-right sums differ here)
+    rng = np.random.default_rng(3)
+    amps = {}
+    for charges in ([1, 1, 1, 1, 1, 1], [1, 0, 1, 1, 1, 1], [1, 1, 1, 1, 0, 1]):
+        amps.update(_random_state(rng, charges).amps)
+    states = [Chain(amps), Chain(dict(reversed(list(amps.items()))))]
+    figures = [
+        [st.norm(), *st.split_mass(lambda ch, _p: ch[1] == 1)]
+        + [x for k in range(7) for x in st.cut_distribution(k)]
+        for st in states
+    ]
+    assert [float.hex(float(x)) for x in figures[0]] == [float.hex(float(x)) for x in figures[1]]
 
 
 def test_trivial_charge_transparency_exact():

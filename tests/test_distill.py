@@ -3,6 +3,7 @@ Monte Carlo, and cost accounting."""
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
@@ -351,6 +352,17 @@ def test_closed_form_floors_exact():
     assert distill.hierarchical_success(4, Fraction(1, 2)) == Fraction(15, 16)
     with pytest.raises(PlanningError):
         distill.hierarchical_success(3, Fraction(1, 2))
+
+
+def test_float_eps_is_read_as_its_decimal():
+    # eps = 0.1 is 1/10, as p = 0.3 is 3/10, not the binary double
+    # 0.1000000000000000055...: the same report as Fraction(1, 10), without
+    # 53-bit denominators through the 12-level merge tree
+    decimal = distill.simulate_report("hierarchical", 4096, 0.3, eps=Fraction(1, 10))
+    t0 = time.perf_counter()
+    report = distill.simulate_report("hierarchical", 4096, 0.3, eps=0.1)
+    assert time.perf_counter() - t0 < 0.02
+    assert report == decimal
 
 
 def test_epsilon_prob():

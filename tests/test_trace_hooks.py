@@ -35,6 +35,11 @@ print(json.dumps({{
     "w00": float(abs(w.a00)),
     "iconverge_gap": abs(float(abs(v.a10)) - float(abs(u.a10)) ** 5),
     "spans": sorted({{tracer.names[c] for c in tracer.name}}),
+    "braid": [
+        sum(1 for c in tracer.name if tracer.names[c] == "chain.braid"),
+        sum(w for c, w in zip(tracer.name, tracer.work) if tracer.names[c] == "chain.braid"),
+        sum(o for c, o in zip(tracer.name, tracer.out) if tracer.names[c] == "chain.braid"),
+    ],
 }}))
 """
 
@@ -48,6 +53,10 @@ def test_shims_install_and_trace_a_run():
     out = json.loads(proc.stdout)
     assert abs(out["probability"] - 0.0657780874821243) < 1e-12
     assert out["exchanges"] == 20
+    # chain.braid spans: calls, amplitudes in, amplitudes out.  The shim
+    # counts amplitudes with len(Chain.amps), so a count of anything else
+    # (descriptor groups, say) would silently redefine chain.amps_touched.
+    assert out["braid"] == [20, 97, 98]
     assert abs(out["w00"] * TAU_F**50 - 1) < 1e-12  # |W00| = tau^(-2*5^2)
     assert out["iconverge_gap"] < 1e-14
     assert {
