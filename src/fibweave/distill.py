@@ -581,8 +581,8 @@ def simulate_report(scheme, n, p, trials=0, seed=None, j=None, eps=None):
     """Exact value plus optional sampling, bundled for serialization; the
     report's seed is the one sampled with (default 0), None without trials.
     A float p or eps is read as the decimal it prints as: 0.1 is 1/10."""
-    _check_rates(p=p, eps=eps)
-    p_frac, eps = (x if x is None or isinstance(x, Fraction) else Fraction(str(x)) for x in (p, eps))
+    p_frac = p if isinstance(p, Fraction) else Fraction(str(p))
+    eps = eps if eps is None or isinstance(eps, Fraction) else Fraction(str(eps))
     resolved = _query(scheme, n, p_frac, j, eps, trials or None, seed)
     exact = _exact(scheme, n, p_frac, resolved)
     seed = (0 if seed is None else seed) if trials else None
