@@ -90,6 +90,18 @@ def _gadgets(j, jN):
     }
 
 
+def _check_layout(n_left, n_right):
+    """Refuse a side without pairs or a row over the protocol's anyon limit."""
+    if n_left < 1 or n_right < 1:
+        raise PlanningError("each side needs at least one pair")
+    total_anyons = 2 * (n_left + n_right) + 2
+    if total_anyons > MAX_PROTOCOL_ANYONS:
+        raise PlanningError(
+            f"{n_left} pairs left and {n_right} right need {total_anyons} anyons, "
+            f"over the protocol limit of {MAX_PROTOCOL_ANYONS}"
+        )
+
+
 def plan_one_mobile(n_left, n_right, j, jN=None):
     """Gadget programs and operation schedule for the one-mobile protocol.
 
@@ -106,14 +118,7 @@ def plan_one_mobile(n_left, n_right, j, jN=None):
     and applying the inverse of the addition sequence across the
     partition.
     """
-    if n_left < 1 or n_right < 1:
-        raise PlanningError("each side needs at least one pair")
-    total_anyons = 2 * (n_left + n_right) + 2
-    if total_anyons > MAX_PROTOCOL_ANYONS:
-        raise PlanningError(
-            f"{n_left} pairs left and {n_right} right need {total_anyons} anyons, "
-            f"over the protocol limit of {MAX_PROTOCOL_ANYONS}"
-        )
+    _check_layout(n_left, n_right)
     check_order(j)
     if jN is None:
         jN = round_up_to_even(j)
@@ -400,8 +405,8 @@ def _class_runs(n, j):
     """Success probability per nontrivial-pair count class (k_L, k_R),
     1 <= k_L, k_R <= n: charge-0 pairs are vacuum and act trivially, and a
     side without a nontrivial pair fails outright.  The (n, n) layout is
-    planned first, so an over-limit n fails before any run."""
-    plan_one_mobile(n, n, j)
+    checked first, so an over-limit n fails before any run."""
+    _check_layout(n, n)
     return {
         (kl, kr): _class_run(kl, kr, j)[0]
         for kl in range(1, n + 1)
