@@ -195,9 +195,12 @@ class Chain:
         out = {}
         for ch, group in self._groups.items():
             di, dj = ch[i - 1], ch[i]
-            new = out[ch[:i - 1] + (dj, di) + ch[i + 1:]] = {}
+            swapped = list(ch)
+            swapped[i - 1], swapped[i] = dj, di
+            new = out[tuple(swapped)] = {}
             get = new.get
-            ci, cj = root(di), root(dj)
+            ci = di if isinstance(di, int) else di[0]  # root(di), root(dj)
+            cj = dj if isinstance(dj, int) else dj[0]
             if ci == 0 or cj == 0:  # label i takes its other neighbour's value
                 src = i + 1 if ci == 0 else i - 1
                 for p, a in group.items():
@@ -214,12 +217,14 @@ class Chain:
                     new[k] = get(k, 0) + c0 * a
                     k |= mid
                     new[k] = get(k, 0) + c1 * a
-        return Chain._of(out)
+        st = Chain.__new__(Chain)
+        st._groups = out
+        return st
 
     def apply_exchanges(self, exchanges):
-        st = self
+        st, braid = self, Chain.braid_adjacent
         for pos, ccw in exchanges:
-            st = st.braid_adjacent(pos, ccw)
+            st = braid(st, pos, ccw)
         return st
 
     def apply_window(self, i, window):
@@ -319,6 +324,8 @@ class Chain:
             for bits, a in group.items():
                 total += np.conj(theirs.get(bits, 0)) * a
         return total
+
+
 class WindowMap:
     """An exchange sequence on three adjacent objects that returns every
     object to its slot, applied as one block map (gate fusion).

@@ -198,21 +198,19 @@ class _Executor:
             raise AssertionError(f"group not contiguous: {self.tags}")
         return idxs[0], len(idxs)
 
-    def _braid(self, pos, ccw):
-        self.state = self.state.braid_adjacent(pos, ccw)
-        self.exchanges += 1
-
     # -- operations ------------------------------------------------
 
     def transit(self, rightward):
         """Carry the star across the adjacent pair (two same-handed
         exchanges; trivial on vacuum-total pairs)."""
-        si = self._star()
+        si, exchanges = self._star(), []
         for _ in range(2):
             other = si + 1 if rightward else si - 1
-            self._braid(max(si, other), True)
+            exchanges.append((max(si, other), True))
             self.tags[si], self.tags[other] = self.tags[other], self.tags[si]
             si = other
+        self.state = self.state.apply_exchanges(exchanges)
+        self.exchanges += len(exchanges)
 
     def run_gadget(self, name, first, second):
         """Apply a gadget to the groups tagged `first` and `second`, which
@@ -229,8 +227,9 @@ class _Executor:
             self.state = self.state.apply_window(i1 + 1, window)
             self.exchanges += len(window.exchanges)
         else:
-            for pos, ccw in gadget_exchanges(program, i1 + 1, m1, m2):
-                self._braid(pos, ccw)
+            exchanges = gadget_exchanges(program, i1 + 1, m1, m2)
+            self.state = self.state.apply_exchanges(exchanges)
+            self.exchanges += len(exchanges)
 
     def form(self, tags, tag, fold):
         """Retag the contiguous group of objects tagged in `tags` as `tag`;

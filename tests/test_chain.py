@@ -217,6 +217,31 @@ def test_merge_and_window_kernels_match_reference_kernels():
                 assert st.apply_window(i, window).amps == _reference_window(amps, i, window)
 
 
+def _paths_by_group(amps):
+    """{descriptors: [path, ...]} in the mapping's key order."""
+    groups = {}
+    for ch, p in amps:
+        groups.setdefault(ch, []).append(p)
+    return groups
+
+
+def test_exchange_sequences_match_folded_reference_kernel():
+    # a run of exchanges equals the reference kernel folded over it: equal
+    # keys, exactly equal amplitudes and, within each descriptor group, the
+    # same key order, on which the bit-identical sums downstream rest
+    rng = np.random.default_rng(29)
+    for n, amps in _kernel_states():
+        for _ in range(3):
+            seq = [(int(i), bool(c)) for i, c in zip(rng.integers(1, n, 12), rng.integers(0, 2, 12))]
+            want = amps
+            for i, ccw in seq:
+                want = _reference_braid(want, i, ccw)
+            got = Chain(amps).apply_exchanges(seq).amps
+            assert got.keys() == want.keys()
+            assert all(got[k] == a for k, a in want.items())
+            assert _paths_by_group(got) == _paths_by_group(want)
+
+
 def test_eighteen_anyon_state_round_trips():
     st = _eighteen_anyons()
     count = sum(1 for _ in st.amps.items())

@@ -22,8 +22,20 @@ from spans import Tracer
 
 tracer = Tracer()
 tracer.install(fibweave)
+
+
+def braid(op):
+    spans = [
+        k for k, c in enumerate(tracer.name)
+        if tracer.names[c] == "chain.braid" and tracer.opid[k] == op
+    ]
+    return [len(spans), sum(tracer.work[k] for k in spans), sum(tracer.out[k] for k in spans)]
+
+
 tracer.op = 0
 result = distill.run_end_to_end([1], [1], 0)
+tracer.op = 1
+larger = distill.run_end_to_end([1, 1], [1, 0], 1, route="physical")
 # the certify path: constants, a big-precision word and a converge sequence
 consts = model.make_constants(128)
 w = words.evaluate(words.m_word(2), consts)
@@ -35,11 +47,9 @@ print(json.dumps({{
     "w00": float(abs(w.a00)),
     "iconverge_gap": abs(float(abs(v.a10)) - float(abs(u.a10)) ** 5),
     "spans": sorted({{tracer.names[c] for c in tracer.name}}),
-    "braid": [
-        sum(1 for c in tracer.name if tracer.names[c] == "chain.braid"),
-        sum(w for c, w in zip(tracer.name, tracer.work) if tracer.names[c] == "chain.braid"),
-        sum(o for c, o in zip(tracer.name, tracer.out) if tracer.names[c] == "chain.braid"),
-    ],
+    "braid": braid(0),
+    "larger_exchanges": larger["exchanges"],
+    "larger_braid_calls": braid(1)[0],
 }}))
 """
 
@@ -57,6 +67,8 @@ def test_shims_install_and_trace_a_run():
     # counts amplitudes with len(Chain.amps), so a count of anything else
     # (descriptor groups, say) would silently redefine chain.amps_touched.
     assert out["braid"] == [20, 97, 98]
+    # every physical exchange runs through the traced kernel, one call each
+    assert out["larger_exchanges"] == out["larger_braid_calls"] == 748
     assert abs(out["w00"] * TAU_F**50 - 1) < 1e-12  # |W00| = tau^(-2*5^2)
     assert out["iconverge_gap"] < 1e-14
     assert {
