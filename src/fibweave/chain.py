@@ -199,7 +199,7 @@ class Chain:
             swapped[i - 1], swapped[i] = dj, di
             new = out[tuple(swapped)] = {}
             get = new.get
-            ci = di if isinstance(di, int) else di[0]  # root(di), root(dj)
+            ci = di if isinstance(di, int) else di[0]  # root(di) and root(dj), inline
             cj = dj if isinstance(dj, int) else dj[0]
             if ci == 0 or cj == 0:  # label i takes its other neighbour's value
                 src = i + 1 if ci == 0 else i - 1
@@ -222,6 +222,8 @@ class Chain:
         return st
 
     def apply_exchanges(self, exchanges):
+        """Apply (position, ccw) exchanges in order, one :meth:`braid_adjacent`
+        call per exchange."""
         st, braid = self, Chain.braid_adjacent
         for pos, ccw in exchanges:
             st = braid(st, pos, ccw)
