@@ -15,7 +15,8 @@ total charges only.  Braiding an adjacent pair is exact: a 2x2 recoupled
 block when both charges and both ambient labels are nontrivial, a pure
 phase or a relabeling otherwise.  A fixed exchange sequence on three
 adjacent objects can be applied as one fused block (:class:`WindowMap`).
-Every kernel reads F and R from one binding, :attr:`Chain.gauge`.
+Every kernel reads F and R from the state's own gauge (:attr:`Chain.gauge`,
+:data:`STANDARD_GAUGE` by default), which the states made from it carry on.
 
 A state is stored by descriptor group, ``{descriptors: {path bits:
 amplitude}}``: every Fibonacci label is 0 or 1, and bit k of the int is
@@ -134,25 +135,27 @@ class _Items(ItemsView):
                 yield (ch, _labels(bits, n)), a
 
 
+STANDARD_GAUGE = gauge_of(F_NP, R_NP)
+
+
 class Chain:
     """Superposition over (object descriptors, path labels) basis keys,
     built from a mapping {(descriptors, path tuple): amplitude} whose paths
-    carry one 0/1 label more than there are objects."""
+    carry one 0/1 label more than there are objects, in a :class:`Gauge`."""
 
-    gauge = gauge_of(F_NP, R_NP)
+    __slots__ = ("_groups", "gauge")
 
-    def __init__(self, amps):
+    def __init__(self, amps, gauge=STANDARD_GAUGE):
         groups = {}
         for (ch, path), a in amps.items():
             if len(path) != len(ch) + 1:
                 raise ValueError(f"path {path} does not fit {len(ch)} objects")
             groups.setdefault(ch, {})[_pack(path)] = a
-        self._groups = groups
+        self._groups, self.gauge = groups, gauge
 
-    @classmethod
-    def _of(cls, groups):
-        st = cls.__new__(cls)
-        st._groups = groups
+    def _of(self, groups):
+        st = Chain.__new__(Chain)
+        st._groups, st.gauge = groups, self.gauge
         return st
 
     @property
@@ -189,8 +192,8 @@ class Chain:
         both nontrivial: phase R00 or R11 when an ambient label is vacuum,
         else the recoupled 2x2 block F R F on the middle label.
         """
-        r00, r11, frf = self.gauge.ccw if ccw else self.gauge.cw
-        lo, mid = i - 1, 1 << i
+        gauge, lo, mid = self.gauge, i - 1, 1 << i
+        r00, r11, frf = gauge.ccw if ccw else gauge.cw
         clear = ~mid
         out = {}
         for ch, group in self._groups.items():
@@ -218,7 +221,7 @@ class Chain:
                     k |= mid
                     new[k] = get(k, 0) + c1 * a
         st = Chain.__new__(Chain)
-        st._groups = out
+        st._groups, st.gauge = out, gauge
         return st
 
     def apply_exchanges(self, exchanges):
@@ -233,25 +236,25 @@ class Chain:
         """Apply a :class:`WindowMap` to objects i, i+1, i+2 (1-indexed)
         in one pass: descriptors stay, the labels p[i], p[i+1] inside the
         window are remapped by the block of the window's roots and outer
-        labels p[i-1], p[i+2]."""
-        lo, clear = i - 1, ~(3 << i)
-        out = {}
+        labels p[i-1], p[i+2].  Groups with equal roots share their rows."""
+        gauge, lo, clear = self.gauge, i - 1, ~(3 << i)
+        out, rows_by_roots = {}, {}
         for ch, group in self._groups.items():
             roots = (root(ch[i - 1]), root(ch[i]), root(ch[i + 1]))
             new = out[ch] = {}
             get = new.get
-            rows_of = {}  # labels i-1 .. i+2 at bits 0 .. 3 -> ((bits, c), ...)
+            rows_of = rows_by_roots.setdefault(roots, {})  # labels i-1 .. i+2 -> ((bits, c), ...)
             for p, a in group.items():
                 w = p >> lo & 15
                 rows = rows_of.get(w)
                 if rows is None:
-                    block = window.block(roots, w & 1, w >> 3)[w >> 1 & 1, w >> 2 & 1]
+                    block = window.block(gauge, roots, w & 1, w >> 3)[w >> 1 & 1, w >> 2 & 1]
                     rows = rows_of[w] = tuple((x << i | y << (i + 1), c) for x, y, c in block)
                 base = p & clear
                 for xy, c in rows:
                     k = base | xy
                     new[k] = get(k, 0) + c * a
-        return Chain._of(out)
+        return self._of(out)
 
     def merge(self, i):
         """Fuse objects i and i+1 into one composite object.
@@ -285,7 +288,7 @@ class Chain:
                 q = p & low | p >> (i + 1) << i  # label i taken out
                 for new, wt in targets:
                     new[q] = new.get(q, 0) + wt * a
-        return Chain._of(out)
+        return self._of(out)
 
     def norm(self):
         return math.fsum(abs(a) ** 2 for group in self._groups.values() for a in group.values())
@@ -337,8 +340,8 @@ class WindowMap:
     linearly, with coefficients fixed by the three roots and the outer
     labels p[i-1] and p[i+2].  Each block is built on first use by running
     the exchanges through :meth:`Chain.braid_adjacent` on a bare window,
-    one admissible input at a time, and kept: the same kernel in the same
-    arithmetic as the exchange-by-exchange run.
+    one admissible input at a time, and kept per gauge for the map's life:
+    the same kernel in the same arithmetic as the exchange-by-exchange run.
     """
 
     def __init__(self, exchanges):
@@ -347,16 +350,16 @@ class WindowMap:
             raise ValueError("window exchanges must sit at positions 1 and 2")
         self._blocks = {}
 
-    def block(self, roots, l0, l3):
-        """{(a, b): ((a', b', coefficient), ...)} for window roots and
-        outer labels (l0, l3)."""
-        key = (roots, l0, l3)
+    def block(self, gauge, roots, l0, l3):
+        """{(a, b): ((a', b', coefficient), ...)} in a gauge for window
+        roots and outer labels (l0, l3)."""
+        key = (gauge, roots, l0, l3)
         block = self._blocks.get(key)
         if block is None:
-            block = self._blocks[key] = self._build(roots, l0, l3)
+            block = self._blocks[key] = self._build(gauge, roots, l0, l3)
         return block
 
-    def _build(self, roots, l0, l3):
+    def _build(self, gauge, roots, l0, l3):
         # distinct descriptors with the given roots, so that a net swap of
         # two equal charges cannot pass for the identity
         objects = tuple((r, slot) for slot, r in enumerate(roots))
@@ -366,7 +369,7 @@ class WindowMap:
             for b in fuse(a, r2):
                 if l3 not in fuse(b, r3):
                     continue
-                out = Chain({(objects, (l0, a, b, l3)): 1.0 + 0j})
+                out = Chain({(objects, (l0, a, b, l3)): 1.0 + 0j}, gauge)
                 rows = []
                 for (ch, p), c in out.apply_exchanges(self.exchanges).amps.items():
                     if ch != objects:

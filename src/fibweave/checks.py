@@ -259,15 +259,10 @@ def distillation():
     routes = ("physical", "composite")
     r_phys, r_comp = (distill.run_end_to_end([1], [1], 1, route=r) for r in routes)
     route_gap = abs(r_phys["probability"] - r_comp["probability"])
-    # the cached window blocks were built from the binding: none may outlive it
-    saved, d = chain.Chain.gauge, np.diag([1, np.exp(1j)])
-    distill._gadgets.cache_clear()
-    try:
-        chain.Chain.gauge = chain.gauge_of(d @ model.F_NP @ d.conj(), model.R_NP)
-        gauged = [distill.run_end_to_end([1], [1], 1, route=r)["probability"] for r in routes]
-    finally:
-        chain.Chain.gauge = saved
-        distill._gadgets.cache_clear()
+    d = np.diag([1, np.exp(1j)])
+    gauge = chain.gauge_of(d @ model.F_NP @ d.conj(), model.R_NP)
+    gauged = [distill.run_end_to_end([1], [1], 1, route=r, gauge=gauge)["probability"]
+              for r in routes]
     gauge_gap = max(abs(g - r["probability"]) for g, r in zip(gauged, (r_phys, r_comp)))
     marginal_gap = abs(r_phys["marginal_left"] - target)
     m00 = [abs(words.evaluate(words.m_word(j, words.SEED_WEAVE))[0, 0]) ** 2 for j in (0, 1)]

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import Chain, WindowMap, root
+from .chain import STANDARD_GAUGE, Chain, WindowMap, root
 from .model import TAU_F
 from .weave import compile_weave, gadget_exchanges, invert_program
 from .words import (
@@ -50,6 +50,8 @@ from .words import (
 MAX_PROTOCOL_ANYONS = 18
 #: The exact merge recursion works in Fractions whose size doubles per level.
 MAX_HIERARCHICAL_PAIRS = 4096
+#: Uniform draws per side of one sampled query: one float64 array of 512 MiB.
+MAX_SIDE_DRAWS = 2**26
 
 
 class PlanningError(ValueError):
@@ -107,7 +109,7 @@ def plan_one_mobile(n_left, n_right, j, jN=None):
 
     ``gadgets`` maps 'add', 'integrate' and 'inverse' to (weave program,
     window map); both are compiled once per (j, jN) and shared by every
-    plan of those orders, so window blocks built by one run serve the next.
+    plan of those orders: one run's blocks serve the next in the same gauge.
 
     The schedule: carry the star leftward across every pair (all transits
     are through vacuum-total pairs: physically trivial, though in the path
@@ -151,9 +153,9 @@ def plan_one_mobile(n_left, n_right, j, jN=None):
 # Protocol state and execution
 # ---------------------------------------------------------------------------
 
-def init_protocol_state(assign_charges):
-    """Row [partner, pair_1, ..., pair_n, star]; every pair and the
-    (partner, star) pair created from vacuum."""
+def init_protocol_state(assign_charges, gauge=STANDARD_GAUGE):
+    """Row [partner, pair_1, ..., pair_n, star] in a gauge; every pair and
+    the (partner, star) pair created from vacuum."""
     states = {((1,), (0, 1)): 1.0 + 0j}
     for c in assign_charges:
         new = {}
@@ -163,9 +165,9 @@ def init_protocol_state(assign_charges):
             else:
                 # vacuum pair inside ambient charge 1: superposed channels
                 for x in (0, 1):
-                    new[(ch + (1, 1), p + (x, 1))] = a * Chain.gauge.f[x][0]
+                    new[(ch + (1, 1), p + (x, 1))] = a * gauge.f[x][0]
         states = new
-    return Chain({(ch + (1,), p + (0,)): a for (ch, p), a in states.items()})
+    return Chain({(ch + (1,), p + (0,)): a for (ch, p), a in states.items()}, gauge)
 
 
 class _Executor:
@@ -176,11 +178,11 @@ class _Executor:
     group is folded into one composite object (``fold``).
     """
 
-    def __init__(self, assign_left, assign_right, plan, composite_route):
+    def __init__(self, assign_left, assign_right, plan, composite_route, gauge):
         self.plan = plan
         self.comp = composite_route
         assign = tuple(assign_left) + tuple(assign_right)
-        self.state = init_protocol_state(assign)
+        self.state = init_protocol_state(assign, gauge)
         self.tags = [("partner",)]
         for k in range(1, len(assign) + 1):
             self.tags += [("pair", k, 0), ("pair", k, 1)]
@@ -294,8 +296,8 @@ class _Executor:
         }
 
 
-def run_end_to_end(assign_left, assign_right, j, jN=None, route="physical"):
-    """Run the full protocol for one definite pair-charge assignment.
+def run_end_to_end(assign_left, assign_right, j, jN=None, route="physical", gauge=STANDARD_GAUGE):
+    """Run the full protocol for one pair-charge assignment in a gauge.
 
     Returns a dict with the joint success probability (both side
     composites nontrivial and jointly in the vacuum channel), the left
@@ -307,7 +309,7 @@ def run_end_to_end(assign_left, assign_right, j, jN=None, route="physical"):
         if c not in (0, 1):
             raise ValueError(f"pair charges must be 0 or 1, got {c!r}")
     plan = plan_one_mobile(len(assign_left), len(assign_right), j, jN)
-    ex = _Executor(assign_left, assign_right, plan, route == "composite").execute()
+    ex = _Executor(assign_left, assign_right, plan, route == "composite", gauge).execute()
     result = ex.readout()
     result.update(
         {
@@ -421,6 +423,8 @@ def _query(scheme, n, p, j, eps, trials, seed):
     _check_rates(p=p, eps=eps)
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials is not None and trials * n > MAX_SIDE_DRAWS:
+        raise ValueError(f"trials x n must be at most {MAX_SIDE_DRAWS}, got {trials * n}")
     if seed is not None and not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     if scheme == "one-mobile":

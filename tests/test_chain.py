@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fibweave import weave, words
-from fibweave.chain import Chain, WindowMap, is_admissible, paths_for, root
+from fibweave.chain import STANDARD_GAUGE, Chain, WindowMap, is_admissible, paths_for, root
 from fibweave.checks import _gap, _random_state
 from fibweave.model import F_NP, R_NP, TAU_F, fuse
 
@@ -129,7 +129,7 @@ def _reference_braid(amps, i, ccw):
 def _reference_merge(amps, i):
     """The merge kernel on a flat {(descriptors, path): amplitude} dict, as
     first written."""
-    f = Chain.gauge.f
+    f = STANDARD_GAUGE.f
     out = {}
     for (ch, p), a in amps.items():
         da, db = ch[i - 1], ch[i]
@@ -151,7 +151,7 @@ def _reference_window(amps, i, window):
     out = {}
     for (ch, p), a in amps.items():
         roots = (root(ch[i - 1]), root(ch[i]), root(ch[i + 1]))
-        rows = window.block(roots, p[i - 1], p[i + 2])[p[i], p[i + 1]]
+        rows = window.block(STANDARD_GAUGE, roots, p[i - 1], p[i + 2])[p[i], p[i + 1]]
         head, tail = p[:i], p[i + 2:]
         for x, y, c in rows:
             k = (ch, head + (x, y) + tail)

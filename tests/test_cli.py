@@ -289,6 +289,20 @@ def test_hierarchical_over_exact_limit_is_planning_error(capsys):
     assert mc["trials"] == 10
 
 
+def test_huge_trial_count_is_usage_error(capsys):
+    # refused before any draw: 10^13 trials of 2 pairs would take 146 TiB per side
+    code, out, err = run(
+        ["simulate", "--scheme", "one-mobile", "--n", "2", "--p", "0.3", "--perfect-gadgets",
+         "--trials", "10000000000000"],
+        capsys,
+    )
+    assert code == 2
+    assert out == "" and "Traceback" not in err and err.count("\n") == 1
+    assert str(distill.MAX_SIDE_DRAWS) in err
+    # the cap itself is allowed; checking it draws nothing
+    assert distill._query("one-mobile", 2, 0.3, None, None, distill.MAX_SIDE_DRAWS // 2, 0) is None
+
+
 def test_cost_csv(capsys):
     code, out, _ = run(
         ["cost", "--n", "8", "--j", "1", "--format", "csv"], capsys

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from fibweave import distill
-from fibweave.chain import Chain, gauge_of
+from fibweave.chain import STANDARD_GAUGE, Chain, gauge_of
 from fibweave.checks import _gap, _random_state
 from fibweave.distill import DistillReport, PlanningError
 from fibweave.model import F_NP, R_NP, TAU_F, fuse
@@ -70,10 +70,10 @@ def reference_shapes(max_j=1):
             yield tuple(map(int, left)), tuple(map(int, right)), int(j[1:]), entry
 
 
-def shape_runs():
+def shape_runs(gauge=STANDARD_GAUGE):
     """run_end_to_end of every reference shape at j <= 1 on both routes."""
     return {
-        (left, right, j, route): distill.run_end_to_end(left, right, j, route=route)
+        (left, right, j, route): distill.run_end_to_end(left, right, j, route=route, gauge=gauge)
         for left, right, j, _entry in reference_shapes()
         for route in ROUTES
     }
@@ -214,31 +214,19 @@ def test_reported_probabilities_lie_in_unit_interval():
 @given(phi=st.floats(0, 2 * np.pi))
 def test_vertex_gauge_change_moves_no_probability(phi):
     """F -> D F D^-1 with D = diag(1, e^{i phi}) and R kept is a gauge
-    change: no probability or marginal may move, and neither may the
-    class-sum success.  The window blocks cached by distill._gadgets and
-    the class runs cached by distill._class_run were built from the
-    binding, so both are dropped before and after the gauged runs."""
-    want = standard_runs()
-    want_exact = distill.exact_success("one-mobile", 2, 0.3, j=1)
+    change: no probability or marginal may move, and neither may the class
+    runs that exact_success("one-mobile", 2, p, j=1) weights by p, so that
+    sum keeps its 1e-12 bound too."""
     d, d_inv = np.diag([1, np.exp(1j * phi)]), np.diag([1, np.exp(-1j * phi)])
-    distill._gadgets.cache_clear()
-    distill._class_run.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Chain, "gauge", gauge_of(d @ F_NP @ d_inv, R_NP))
-            got = shape_runs()
-            misses = distill._class_run.cache_info().misses
-            got_exact = distill.exact_success("one-mobile", 2, 0.3, j=1)
-            # all four classes ran under the gauge: no standard-gauge entry
-            # was read
-            assert distill._class_run.cache_info().misses == misses + 4
-    finally:
-        distill._gadgets.cache_clear()
-        distill._class_run.cache_clear()
+    gauge = gauge_of(d @ F_NP @ d_inv, R_NP)
+    want, got = standard_runs(), shape_runs(gauge)
     for key, run in got.items():
         for figure in ("probability", "marginal_left"):
             assert abs(run[figure] - want[key][figure]) <= 1e-12, (key, figure)
-    assert abs(got_exact - want_exact) <= 1e-12
+    for kl in (1, 2):
+        for kr in (1, 2):
+            run = distill.run_end_to_end((1,) * kl, (1,) * kr, 1, route="composite", gauge=gauge)
+            assert abs(run["probability"] - distill._class_run(kl, kr, 1)[0]) <= 1e-12, (kl, kr)
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])

@@ -18,11 +18,15 @@ def transposed(gauge):
 
 
 def merge_reads_f_xg(mp):
+    # every merge reads F transposed, and every state keeps its given gauge
     merge = Chain.merge
 
     def mutant(self, i):
-        self.gauge = transposed(Chain.gauge)
-        return merge(self, i)
+        copy = self._of(self._groups)
+        copy.gauge = transposed(self.gauge)
+        out = merge(copy, i)
+        out.gauge = self.gauge
+        return out
 
     mp.setattr(Chain, "merge", mutant)
 
@@ -30,13 +34,10 @@ def merge_reads_f_xg(mp):
 def init_reads_f_0x(mp):
     init = distill.init_protocol_state
 
-    def mutant(assign):
-        saved = Chain.gauge
-        Chain.gauge = transposed(saved)
-        try:
-            return init(assign)
-        finally:
-            Chain.gauge = saved
+    def mutant(assign, gauge):
+        st = init(assign, transposed(gauge))
+        st.gauge = gauge
+        return st
 
     mp.setattr(distill, "init_protocol_state", mutant)
 
@@ -44,10 +45,10 @@ def init_reads_f_0x(mp):
 def window_blocks_conjugated(mp):
     build = WindowMap._build
 
-    def mutant(self, roots, l0, l3):
+    def mutant(self, gauge, roots, l0, l3):
         return {
             ab: tuple((x, y, c.conjugate()) for x, y, c in rows)
-            for ab, rows in build(self, roots, l0, l3).items()
+            for ab, rows in build(self, gauge, roots, l0, l3).items()
         }
 
     mp.setattr(WindowMap, "_build", mutant)
@@ -75,6 +76,8 @@ def epsilon_prob_is_amplitude(mp):
     ids=lambda m: getattr(m, "__name__", "unpatched"),
 )
 def test_verify_distill_catches_gauge_mutants(mutate, capsys):
+    # a mutant _build poisons the window blocks cached with the gadgets, in
+    # every gauge, so no block may outlive the patch
     distill._gadgets.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
