@@ -48,12 +48,8 @@ def _cmd_compile(args):
             payload["generators"] = [[pos, "ccw" if ccw else "cw"] for pos, ccw in gens]
         out = json.dumps(payload, sort_keys=True) + "\n"
     if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(out)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-            return 2
+        with open(args.output, "w") as fh:
+            fh.write(out)
     else:
         sys.stdout.write(out)
     return 0
@@ -117,10 +113,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_cost(args):
-    reports = []
+    words.check_order(args.j)  # a sweep from a negative order would be empty
     js = range(args.j + 1) if args.sweep_j else [args.j]
-    for j in js:
-        reports.append(distill.braid_cost(args.n, j))
+    reports = [distill.braid_cost(args.n, j) for j in js]
     if args.format == "json":
         print(json.dumps(reports if args.sweep_j else reports[0], sort_keys=True))
     else:
@@ -140,12 +135,8 @@ def _cmd_chain_run(args):
     if args.program in (None, "-"):
         text = sys.stdin.read()
     else:
-        try:
-            with open(args.program) as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"error: cannot read {args.program}: {exc.strerror}", file=sys.stderr)
-            return 2
+        with open(args.program) as fh:
+            text = fh.read()
     exchanges = weave.gadget_exchanges(weave.program_from_text(text), 2)
     print("assignment,prob0,prob1")
     for c1 in (0, 1):
@@ -209,6 +200,9 @@ def main(argv=None):
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an unreadable or unwritable file
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

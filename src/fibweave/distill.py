@@ -48,8 +48,8 @@ from .words import (
 )
 
 MAX_PROTOCOL_ANYONS = 18
-#: The exact merge recursion works in Fractions whose size doubles per level.
-MAX_HIERARCHICAL_PAIRS = 4096
+#: Pairs per side of an exact closed form, whose rationals grow with n.
+MAX_EXACT_PAIRS = 4096
 #: Uniform draws per side of one sampled query: one float64 array of 512 MiB.
 MAX_SIDE_DRAWS = 2**26
 
@@ -328,16 +328,23 @@ def run_end_to_end(assign_left, assign_right, j, jN=None, route="physical", gaug
 # Closed forms and exact aggregation
 # ---------------------------------------------------------------------------
 
-def _check_rates(**rates):
-    """Reject a probability or failure rate outside [0, 1] (None is unset)."""
-    for name, x in rates.items():
-        if x is not None and not 0 <= x <= 1:
-            raise ValueError(f"{name} must lie in [0, 1], got {x}")
+def _rate(name, x):
+    """A rate in [0, 1] (NaN and inf refused) as an exact Fraction: an int or
+    Fraction as it is, a float as the decimal it prints as (0.1 is 1/10)."""
+    if not 0 <= x <= 1:
+        raise ValueError(f"{name} must lie in [0, 1], got {x}")
+    return x if isinstance(x, (int, Fraction)) else Fraction(str(x))
 
 
 def _check_pairs(n):
     if n < 1:
         raise ValueError(f"need at least one pair per side, got n={n}")
+
+
+def _check_exact_pairs(n):
+    _check_pairs(n)
+    if n > MAX_EXACT_PAIRS:
+        raise PlanningError(f"exact closed forms are capped at {MAX_EXACT_PAIRS} pairs, got {n}")
 
 
 def _merge_levels(n):
@@ -348,11 +355,9 @@ def _merge_levels(n):
 
 
 def hierarchical_floor(n, p):
-    """1 - (1-p)^n: at least one of n pairs is nontrivial."""
-    _check_pairs(n)
-    _check_rates(p=p)
-    p = Fraction(p)
-    return 1 - (1 - p) ** n
+    """1 - (1-p)^n, exact: at least one of n <= MAX_EXACT_PAIRS pairs is nontrivial."""
+    _check_exact_pairs(n)
+    return 1 - (1 - _rate("p", p)) ** n
 
 
 def one_mobile_floor(n, p):
@@ -361,9 +366,8 @@ def one_mobile_floor(n, p):
 
 
 def merge_success(p, eps):
-    """1 - (1-p)^2 - eps p^2: one pairwise merge with failure rate eps."""
-    _check_rates(p=p, eps=eps)
-    p, eps = Fraction(p), Fraction(eps)
+    """1 - (1-p)^2 - eps p^2, exact: one pairwise merge with failure rate eps."""
+    p, eps = _rate("p", p), _rate("eps", eps)
     return 1 - (1 - p) ** 2 - eps * p**2
 
 
@@ -376,8 +380,7 @@ def epsilon_prob(j):
 
 def hierarchical_success(n, p, eps=0):
     """Pairwise-merge tree over n pairs: q_{k+1} = merge_success(q_k, eps)."""
-    if n > MAX_HIERARCHICAL_PAIRS:
-        raise PlanningError(f"exact merging is capped at {MAX_HIERARCHICAL_PAIRS} pairs, got {n}")
+    _check_exact_pairs(n)
     q = p
     for _ in range(_merge_levels(n)):
         q = merge_success(q, eps)
@@ -418,9 +421,10 @@ def _class_runs(n, j):
 def _query(scheme, n, p, j, eps, trials, seed):
     """Check a query (trials None: no sampling) and return the one-mobile class
     probabilities (None without j) or the hierarchical eps, by default the j
-    residual."""
+    residual, as read by :func:`_rate`."""
     _check_pairs(n)
-    _check_rates(p=p, eps=eps)
+    _rate("p", p)
+    eps = None if eps is None else _rate("eps", eps)
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if trials is not None and trials * n > MAX_SIDE_DRAWS:
@@ -435,7 +439,7 @@ def _query(scheme, n, p, j, eps, trials, seed):
         _merge_levels(n)
         if eps is not None:
             return eps
-        return 0 if j is None else epsilon_prob(j)["probability"]
+        return 0 if j is None else _rate("eps", epsilon_prob(j)["probability"])
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -453,15 +457,16 @@ def _exact(scheme, n, p, resolved):
 def exact_success(scheme, n, p, j=None, eps=None):
     """Exact success probability of a scheme over n pairs per side.
 
-    With no gadget order (perfect gadgets) the closed forms are returned
-    as exact rationals.  With a gadget order j, the one-mobile scheme sums
-    binomial weights over the n^2 nontrivial-pair count classes (k_L, k_R),
-    up to the protocol's 18 anyons (4 pairs per side); it refuses eps.
-    Each class is simulated once per process on the composite route and
-    shared across n, p, :func:`monte_carlo` and :func:`simulate_report`,
-    so a p-sweep runs no class twice.  The hierarchical
-    recursion takes the order-j residual as its merge failure rate unless
-    eps is given explicitly.
+    A float p or eps is read as the decimal it prints as (:func:`_rate`).
+    With no gadget order (perfect gadgets) the closed forms are returned as
+    exact rationals, up to MAX_EXACT_PAIRS pairs.  With a gadget order j,
+    the one-mobile scheme sums binomial weights over the n^2 nontrivial-pair
+    count classes (k_L, k_R), up to the protocol's 18 anyons (4 pairs per
+    side); it refuses eps.  Each class is simulated once per process on the
+    composite route and shared across n, p, :func:`monte_carlo` and
+    :func:`simulate_report`, so a p-sweep runs no class twice.  The
+    hierarchical recursion takes the order-j residual as its merge failure
+    rate unless eps is given explicitly.
     """
     return _exact(scheme, n, p, _query(scheme, n, p, j, eps, None, None))
 
@@ -474,7 +479,8 @@ def monte_carlo(scheme, n, p, trials, seed, j=None, eps=None):
     """Sample the scheme with a counter-based generator (Philox).
 
     Returns estimate, standard error and the raw success count.  The
-    stream is fully determined by the seed.
+    stream is fully determined by the seed.  Draws compare with the caller's p
+    and eps as doubles, which their decimal reading keeps; n has no exact cap.
     """
     return _sample(scheme, n, p, trials, seed, _query(scheme, n, p, j, eps, trials, seed))
 
@@ -587,14 +593,12 @@ class DistillReport:
 
 def simulate_report(scheme, n, p, trials=0, seed=None, j=None, eps=None):
     """Exact value plus optional sampling, bundled for serialization; the
-    report's seed is the one sampled with (default 0), None without trials.
-    A float p or eps is read as the decimal it prints as: 0.1 is 1/10."""
-    p_frac = p if isinstance(p, Fraction) else Fraction(str(p))
-    eps = eps if eps is None or isinstance(eps, Fraction) else Fraction(str(eps))
-    resolved = _query(scheme, n, p_frac, j, eps, trials or None, seed)
-    exact = _exact(scheme, n, p_frac, resolved)
+    report's seed is the one sampled with (default 0), None without trials;
+    p and eps are read as in :func:`exact_success` and :func:`monte_carlo`."""
+    resolved = _query(scheme, n, p, j, eps, trials or None, seed)
+    exact = _exact(scheme, n, p, resolved)
     seed = (0 if seed is None else seed) if trials else None
-    mc = _sample(scheme, n, p_frac, trials, seed, resolved) if trials else {}
+    mc = _sample(scheme, n, p, trials, seed, resolved) if trials else {}
     if scheme == "one-mobile" and resolved is not None:
         _prob, total, gadget = _class_run(n, n, j)
         counts = {"gadget": gadget, "total": total}
@@ -607,7 +611,7 @@ def simulate_report(scheme, n, p, trials=0, seed=None, j=None, eps=None):
         scheme=scheme,
         n=n,
         j=j,
-        p=float(p_frac),
+        p=float(p),
         exact_probability=float(exact),
         sampled_probability=mc.get("estimate"),
         std_error=mc.get("std_error"),

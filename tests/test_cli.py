@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fibweave import checks, cli, converge, distill
 
@@ -205,6 +205,7 @@ def test_bad_input_is_one_line_usage_error(argv, capsys):
         ["simulate", "--scheme", "hierarchical", "--n", "2", "--p", "0.5", "--j", "9"],
         ["simulate", "--scheme", "hierarchical", "--n", "4", "--p", "0.3", "--j", "1000"],
         ["simulate", "--scheme", "one-mobile", "--n", "1", "--p", "0.5", "--j", "-1"],
+        ["cost", "--n", "4", "--j", "-1", "--sweep-j", "--format", "csv"],
     ],
 )
 def test_order_above_limit_is_usage_error(argv, capsys):
@@ -225,29 +226,36 @@ FUZZED = {
 
 @st.composite
 def simulate_or_cost_argv(draw):
-    """simulate or cost arguments with up to two of them out of range.
-    One-mobile orders above 2 are only ones the order check refuses, and
-    only layouts of at most 4 pairs per side sample trials."""
+    """(argv, whether the command reads an out-of-range argument): simulate
+    or cost arguments with up to two of them out of range.  One-mobile
+    orders above 2 are only ones the order check refuses, and only layouts
+    of at most 4 pairs per side sample trials."""
     broken = draw(st.sets(st.sampled_from(sorted(FUZZED)), max_size=2))
     v = {name: draw(FUZZED[name][name in broken]) for name in FUZZED}
     if draw(st.booleans()):
-        return ["cost", "--n", str(v["n"]), "--j", str(v["j"])]
+        sweep = draw(st.sampled_from([[], ["--sweep-j"]]))
+        return ["cost", "--n", str(v["n"]), "--j", str(v["j"]), *sweep], bool(broken & {"n", "j"})
     scheme = draw(st.sampled_from(["one-mobile", "hierarchical"]))
     gadget = draw(st.sampled_from([["--j", str(v["j"])], ["--perfect-gadgets"], ["--eps", "0.1"],
                                    ["--j", str(v["j"]), "--eps", "0.2"], []]))
     trials = v["trials"] if v["n"] <= 4 else 0
-    return ["simulate", "--scheme", scheme, "--n", str(v["n"]), "--p", str(v["p"]), *gadget,
+    read = {"n", "p", "seed"} | ({"trials"} if v["n"] <= 4 else set())
+    read |= {"j"} if "--j" in gadget else set()
+    argv = ["simulate", "--scheme", scheme, "--n", str(v["n"]), "--p", str(v["p"]), *gadget,
             "--trials", str(trials), "--seed", str(v["seed"])]
+    return argv, bool(broken & read)
 
 
 @settings(max_examples=80, deadline=None)
 @given(simulate_or_cost_argv())
-def test_exit_codes_under_argument_fuzzing(argv):
+@example((["cost", "--n", "4", "--j", "-1", "--sweep-j"], True))
+def test_exit_codes_under_argument_fuzzing(case):
+    argv, out_of_range = case
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
     err = err.getvalue()
-    assert code in (0, 2, 3), (argv, err)
+    assert code in ((2, 3) if out_of_range else (0, 2, 3)), (argv, err)
     assert "Traceback" not in err and err.count("\n") <= 1, (argv, err)
 
 
@@ -281,12 +289,53 @@ def test_hierarchical_over_exact_limit_is_planning_error(capsys):
     assert time.perf_counter() - t0 < 1
     assert code == 3
     assert out == "" and "Traceback" not in err and err.count("\n") == 1
-    assert str(distill.MAX_HIERARCHICAL_PAIRS) in err
-    assert 0 < distill.exact_success("hierarchical", distill.MAX_HIERARCHICAL_PAIRS, 0.3, eps=0.1) < 1
+    assert str(distill.MAX_EXACT_PAIRS) in err
+    assert 0 < distill.exact_success("hierarchical", distill.MAX_EXACT_PAIRS, 0.3, eps=0.1) < 1
     # the integer ledger and the sampler keep any power of two
     assert len(distill.braid_cost(2**40, 0)["levels"]) == 40
-    mc = distill.monte_carlo("hierarchical", 2 * distill.MAX_HIERARCHICAL_PAIRS, 0.3, 10, 0, eps=0.1)
+    mc = distill.monte_carlo("hierarchical", 2 * distill.MAX_EXACT_PAIRS, 0.3, 10, 0, eps=0.1)
     assert mc["trials"] == 10
+
+
+def test_one_mobile_floor_over_exact_limit_is_planning_error(capsys):
+    # the same cap bounds the floor 1 - (1-p)^n, refused before any power
+    over = distill.MAX_EXACT_PAIRS + 1
+    t0 = time.perf_counter()
+    code, out, err = run(
+        ["simulate", "--scheme", "one-mobile", "--n", str(over), "--p", "0.3", "--perfect-gadgets"],
+        capsys,
+    )
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert out == "" and "Traceback" not in err and err.count("\n") == 1
+    assert str(distill.MAX_EXACT_PAIRS) in err
+    big = 2 * distill.MAX_EXACT_PAIRS
+    for query in (
+        lambda: distill.hierarchical_floor(over, 0.3),
+        lambda: distill.one_mobile_floor(over, 0.3),
+        lambda: distill.hierarchical_success(big, 0.3, 0.1),
+        lambda: distill.exact_success("one-mobile", over, 0.3),
+        lambda: distill.simulate_report("one-mobile", 10**6, 0.3),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(distill.PlanningError, match="capped"):
+            query()
+        assert time.perf_counter() - t0 < 1
+    assert distill.one_mobile_floor(distill.MAX_EXACT_PAIRS, Fraction(1, 2)) < 1
+    # the sampler keeps every n it took before
+    assert distill.monte_carlo("one-mobile", 2 * big, 0.3, 10, 0)["trials"] == 10
+
+
+@pytest.mark.parametrize("flag", ["--p", "--eps"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_rate_names_the_range(flag, value, capsys):
+    rates = {"--p": "0.3", "--eps": "0.1", flag: value}
+    argv = ["simulate", "--scheme", "hierarchical", "--n", "4"]
+    argv += [f"{k}={v}" for k, v in rates.items()]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and "Traceback" not in err and err.count("\n") == 1
+    assert f"{flag[2:]} must lie in [0, 1], got {value}" in err
 
 
 def test_huge_trial_count_is_usage_error(capsys):
@@ -338,6 +387,14 @@ def test_chain_run_from_stdin(capsys, monkeypatch):
     assert rows["00"].endswith("0.000000000000")
     assert rows["10"].endswith("0.000000000000")
     assert rows["01"].endswith("0.000000000000")
+
+
+def test_unreadable_program_file_is_usage_error(capsys, tmp_path):
+    # a directory cannot be read as a program: one line naming it and the reason
+    code, out, err = run(["chain-run", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == "" and "Traceback" not in err and err.count("\n") == 1
+    assert str(tmp_path) in err and "Is a directory" in err
 
 
 def test_chain_run_from_file(capsys, tmp_path):

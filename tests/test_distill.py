@@ -351,6 +351,20 @@ def test_float_eps_is_read_as_its_decimal():
     report = distill.simulate_report("hierarchical", 4096, 0.3, eps=0.1)
     assert time.perf_counter() - t0 < 0.02
     assert report == decimal
+    # every query and closed form reads its rates the same way
+    queries = [
+        (lambda p: distill.exact_success("one-mobile", 16, p), 0.3, Fraction(3, 10)),
+        (lambda e: distill.exact_success("hierarchical", 16, 0.3, eps=e), 0.1, Fraction(1, 10)),
+        (lambda p: distill.exact_success("hierarchical", 16, p, j=1), 0.3, Fraction(3, 10)),
+        (lambda e: distill.monte_carlo("hierarchical", 16, 0.3, 100, 7, eps=e), 0.1, Fraction(1, 10)),
+        (lambda p: distill.monte_carlo("one-mobile", 2, p, 100, 7, j=1), 0.3, Fraction(3, 10)),
+        (lambda p: distill.one_mobile_floor(16, p), 0.3, Fraction(3, 10)),
+        (lambda e: distill.merge_success(0.3, e), 0.1, Fraction(1, 10)),
+        (lambda p: distill.hierarchical_success(16, p, 0.1), 0.3, Fraction(3, 10)),
+        (lambda p: distill.simulate_report("one-mobile", 16, p), 0.3, Fraction(3, 10)),
+    ]
+    for query, rate, exact in queries:
+        assert query(rate) == query(exact)
 
 
 def test_epsilon_prob():
