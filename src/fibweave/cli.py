@@ -149,8 +149,15 @@ def _cmd_chain_run(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals, its subparsers' too, are one-line usage errors."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="fibweave", description=__doc__)
+    parser = _Parser(prog="fibweave", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", help="compile a gate word into a weave program")
@@ -192,8 +199,8 @@ def main(argv=None):
     p.add_argument("program", nargs="?", help="program file ('-' or absent: stdin)")
     p.set_defaults(func=_cmd_chain_run)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except distill.PlanningError as exc:
         print(f"planning error: {exc}", file=sys.stderr)

@@ -50,8 +50,10 @@ from .words import (
 MAX_PROTOCOL_ANYONS = 18
 #: Pairs per side of an exact closed form, whose rationals grow with n.
 MAX_EXACT_PAIRS = 4096
-#: Uniform draws per side of one sampled query: one float64 array of 512 MiB.
+#: Uniform draws per side of one sampled query: one trials x n bool array of 64 MiB.
 MAX_SIDE_DRAWS = 2**26
+#: Uniform draws per block of a sampled query (256 KiB of float64).
+_BLOCK = 2**15
 
 
 class PlanningError(ValueError):
@@ -478,37 +480,58 @@ def exact_success(scheme, n, p, j=None, eps=None):
 def monte_carlo(scheme, n, p, trials, seed, j=None, eps=None):
     """Sample the scheme with a counter-based generator (Philox).
 
-    Returns estimate, standard error and the raw success count.  The
-    stream is fully determined by the seed.  Draws compare with the caller's p
-    and eps as doubles, which their decimal reading keeps; n has no exact cap.
+    Returns estimate, standard error and the raw success count.  The Philox
+    stream is fully determined by the seed and drawn in blocks of trials, in
+    the order of one trials x n draw, keeping about one byte per draw.  Draws
+    compare with the caller's p and eps as doubles, which their decimal
+    reading keeps; n has no exact cap.
     """
     return _sample(scheme, n, p, trials, seed, _query(scheme, n, p, j, eps, trials, seed))
+
+
+def _draws(rng, buf, rows, cols, x):
+    """Booleans u < x of the next rows x cols uniforms, drawn a block of rows
+    at a time into buf, in the order one rng.random((rows, cols)) draws them."""
+    step = len(buf) // cols
+    out = np.empty((rows, cols), dtype=bool)
+    for i in range(0, rows, step):
+        u = buf[: min(step, rows - i) * cols].reshape(-1, cols)
+        rng.random(out=u)
+        np.less(u, x, out=out[i : i + len(u)])
+    return out
+
+
+def _counts(hits):
+    """True entries per row, summed as bytes without a row-by-row reduction."""
+    return np.einsum("ij->i", hits.view(np.uint8), dtype=np.intp, casting="unsafe")
 
 
 def _sample(scheme, n, p, trials, seed, resolved):
     """monte_carlo from the resolved query."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    # per query, since rng.random fills it without the GIL; at least one row wide
+    buf = np.empty(max(_BLOCK, n))
     p = float(p)
     if scheme == "hierarchical":
         eps = float(resolved)
-        level = rng.random((trials, n)) < p
+        level = _draws(rng, buf, trials, n, p)
         while level.shape[1] > 1:
             a, b = level[:, 0::2], level[:, 1::2]
             both = a & b
-            fail = rng.random(both.shape) < eps
+            fail = _draws(rng, buf, trials, both.shape[1], eps)
             level = (a | b) & ~(both & fail)
         success = level[:, 0]
     else:
-        left = rng.random((trials, n)) < p
-        right = rng.random((trials, n)) < p
+        left = _counts(_draws(rng, buf, trials, n, p))
+        right = _counts(_draws(rng, buf, trials, n, p))
         if resolved is None:
-            success = left.any(axis=1) & right.any(axis=1)
+            success = (left != 0) & (right != 0)
         else:
             # success probability by the nontrivial-pair count of each side
             table = np.zeros((n + 1, n + 1))
             for (kl, kr), prob in resolved.items():
                 table[kl, kr] = prob
-            success = rng.random(trials) < table[left.sum(axis=1), right.sum(axis=1)]
+            success = rng.random(trials) < table[left, right]
     k = int(success.sum())
     est = k / trials
     return {

@@ -187,6 +187,10 @@ def test_simulate_flag_validation(capsys):
         ["cost", "--n", "-4", "--j", "1"],
         ["simulate", "--scheme", "hierarchical", "--n", "4", "--p", "0.3",
          "--perfect-gadgets", "--eps", "0.1"],
+        # refused by the parser itself
+        ["simulate", "--scheme", "one-mobile", "--n", "x", "--p", "0.3", "--j", "1"],
+        ["cost", "--n", "4"],
+        ["simulate", "--scheme", "hierarchical", "--n", "4", "--p", "-inf", "--eps", "0.1"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, capsys):
